@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint audit bench bench-audit bench-engine bench-paper bench-service chaos-smoke engine-smoke service-smoke report report-cached faults breaker resume fsck verify examples clean
+.PHONY: install test lint audit bench bench-audit bench-paper bench-service chaos-smoke engine-smoke service-smoke report report-cached faults breaker resume fsck verify examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -41,11 +41,6 @@ bench-paper:
 # record lanes/sec in BENCH_static_analysis.json.
 bench-audit:
 	$(PYTHON) benchmarks/bench_static_analysis.py --out BENCH_static_analysis.json
-
-# Sweep-executor throughput: time cold/warm sweeps through the serial,
-# thread and process engines and record cells/sec in BENCH_engine.json.
-bench-engine:
-	$(PYTHON) benchmarks/bench_engine.py --out BENCH_engine.json
 
 # Process-engine determinism smoke test: the sharded executor must
 # produce byte-identical stdout and export artifacts to a serial run

@@ -17,9 +17,10 @@ import pytest
 
 from repro.core.types import DeviceKind, MatrixShape, Precision
 from repro.gpu.warp_sim import simulate_gpu_kernel
-from repro.harness import Experiment, run_experiment
+from repro.harness import Experiment, run_campaign
 from repro.machine import A100, MI250X
 from repro.models import model_by_name
+from repro.service import CampaignSpec
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +31,7 @@ def cpu_results(sweep):
         node_name="Crusher", device=DeviceKind.CPU, precision=Precision.FP64,
         models=("c-openmp", "pyomp", "numba"), sizes=tuple(sweep), threads=64,
     )
-    return run_experiment(exp)
+    return run_campaign(CampaignSpec(experiment=exp))
 
 
 def _mean(rs, model):

@@ -25,7 +25,8 @@ from repro.harness.engine import ResultCache, RunOptions, SweepEngine
 from repro.harness.experiment import Experiment
 from repro.harness.export import result_set_to_json
 from repro.harness.journal import RunRegistry, fsck_store, resume_run
-from repro.harness.runner import run_experiment
+from repro.harness.runner import run_campaign
+from repro.service import CampaignSpec
 
 EXPERIMENT = Experiment(
     exp_id="resume-demo",
@@ -47,8 +48,8 @@ def main() -> None:
     registry = RunRegistry(os.path.join(workdir, "runs"))
 
     print("== 1. uninterrupted reference run ==")
-    reference = run_experiment(EXPERIMENT,
-                               engine=SweepEngine(cache=None, parallel=False))
+    reference = run_campaign(CampaignSpec(experiment=EXPERIMENT),
+                             engine=SweepEngine(cache=None))
     print(f"   {len(reference.measurements)} cells measured")
 
     print(f"== 2. journaled run, killed at cell {INTERRUPT_AT_CELL} ==")
@@ -65,9 +66,9 @@ def main() -> None:
     worker.run_measurement = dying_run_measurement
     journal = registry.create()
     try:
-        run_experiment(EXPERIMENT,
-                       engine=SweepEngine(cache=None, parallel=False),
-                       options=RunOptions(journal=journal))
+        run_campaign(CampaignSpec(experiment=EXPERIMENT),
+                     engine=SweepEngine(cache=None),
+                     options=RunOptions(journal=journal))
         raise SystemExit("expected the run to be interrupted")
     except RunInterrupted as exc:
         print(f"   interrupted: {exc}")
@@ -81,7 +82,7 @@ def main() -> None:
     assert state.status == "interrupted" and state.resumable
 
     print("== 4. resume: replay + execute the remainder ==")
-    engine = SweepEngine(cache=None, parallel=False)
+    engine = SweepEngine(cache=None)
     resumed = resume_run(journal.run_id, registry=registry, engine=engine)
     report = engine.last_report
     print(f"   {report.replayed_cells} cells replayed from the journal, "

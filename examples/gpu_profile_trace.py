@@ -11,9 +11,9 @@ the copy back.
 Run:  python examples/gpu_profile_trace.py
 """
 
-from repro import Precision
+from repro import CampaignSpec, Precision
 from repro.core.types import DeviceKind
-from repro.harness import Experiment, run_experiment
+from repro.harness import Experiment, run_campaign
 from repro.harness.report import render_result_set
 from repro.trace.profiler import Profiler
 from repro.trace.timeline import render_timeline, summary_table
@@ -32,7 +32,8 @@ def main() -> None:
     )
 
     profiler = Profiler()
-    results = run_experiment(experiment, profiler=profiler)
+    results = run_campaign(CampaignSpec(experiment=experiment),
+                           profiler=profiler)
 
     print(render_result_set(results, chart=False))
 

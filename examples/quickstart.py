@@ -10,7 +10,7 @@ study, end to end.
 Run:  python examples/quickstart.py
 """
 
-from repro import Experiment, Precision, run_experiment
+from repro import CampaignSpec, Experiment, Precision, run_campaign
 from repro.core.types import DeviceKind
 from repro.harness.report import render_result_set
 from repro.models import model_by_name, reference_model_for
@@ -28,7 +28,7 @@ def main() -> None:
         reps=10,
     )
 
-    results = run_experiment(experiment)
+    results = run_campaign(CampaignSpec(experiment=experiment))
     print(render_result_set(results))
     print()
 

@@ -52,7 +52,6 @@ from .harness import (
     fig6,
     fig7,
     run_campaign,
-    run_experiment,
     table1,
     table2,
     table3,
@@ -118,7 +117,6 @@ __all__ = [
     "fig6",
     "fig7",
     "run_campaign",
-    "run_experiment",
     "table1",
     "table2",
     "table3",

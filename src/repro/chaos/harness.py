@@ -102,7 +102,7 @@ def _solo_render(spec) -> str:
     from ..harness.report import render_result_set
     from ..harness.runner import run_campaign
     return render_result_set(run_campaign(
-        spec, engine=SweepEngine(cache=None, parallel=False)))
+        spec, engine=SweepEngine(cache=None)))
 
 
 def _chaos_spec(exp_id: str, models=("julia", "numba"),
@@ -346,8 +346,7 @@ def scenario_disk_full(workdir: str) -> ChaosScenarioResult:
     os.environ[CHAOS_PLAN_ENV] = plan_path
     try:
         t0 = time.monotonic()
-        results = run_campaign(spec, engine=SweepEngine(cache=cache,
-                                                        parallel=False))
+        results = run_campaign(spec, engine=SweepEngine(cache=cache))
         wall = time.monotonic() - t0
     finally:
         os.environ.pop(CHAOS_PLAN_ENV, None)

@@ -136,12 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-cache", action="store_true",
                      help="bypass the sweep result cache for this run")
     run.add_argument("--serial", action="store_true",
-                     help="disable the engine's thread-pool fan-out")
+                     help="run every cell inline (same as --engine serial)")
     run.add_argument("--jobs", type=int, default=None, metavar="N",
-                     help="worker-pool width (default: cpu count)")
-    run.add_argument("--engine", choices=("thread", "process"), default=None,
-                     help="sweep executor: in-process thread pool (default) "
-                          "or a sharded process pool (REPRO_ENGINE)")
+                     help="process-pool width for --engine process "
+                          "(default: cpu count)")
+    run.add_argument("--engine", choices=("serial", "process"), default=None,
+                     help="sweep executor: cells inline (default) or "
+                          "a sharded process pool (REPRO_ENGINE)")
     run.add_argument("--engine-stats", action="store_true",
                      help="append per-cell timings and cache hit/miss stats")
     run.add_argument("--resume", default=None, metavar="RUN_ID",
@@ -543,19 +544,14 @@ def _engine_for(args: argparse.Namespace):
     """An engine honouring the run subcommand's overrides, or None for
     the process default."""
     no_cache = getattr(args, "no_cache", False)
-    serial = getattr(args, "serial", False)
     jobs = getattr(args, "jobs", None)
-    mode = getattr(args, "engine", None)
-    if not (no_cache or serial or jobs or mode
-            or getattr(args, "engine_stats", False)):
+    mode = ("serial" if getattr(args, "serial", False)
+            else getattr(args, "engine", None))
+    if not (no_cache or jobs or mode or getattr(args, "engine_stats", False)):
         return None
     from .harness.engine import SweepEngine
-    return SweepEngine.from_env(
-        cache_enabled=False if no_cache else None,
-        parallel=False if serial else None,
-        max_workers=jobs,
-        mode=mode,
-    )
+    return SweepEngine.from_env(cache_enabled=False if no_cache else None,
+                                max_workers=jobs, mode=mode)
 
 
 def _spec_cli_overrides(args: argparse.Namespace) -> dict:

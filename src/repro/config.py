@@ -37,7 +37,7 @@ KNOWN_VARIABLES: Dict[str, str] = {
     "REPRO_CACHE": "sweep result cache on/off (default on)",
     "REPRO_CACHE_DIR": "sweep result cache directory",
     "REPRO_JOBS": "sweep engine worker-pool width (1 = serial)",
-    "REPRO_ENGINE": "sweep executor: thread (default) or process",
+    "REPRO_ENGINE": "sweep executor: serial (default) or process",
     "REPRO_FAULTS": "fault-injection spec (e.g. rate=0.2,seed=7,always=numba@512)",
     "REPRO_RETRIES": "retries per sweep cell after a fault (default 0)",
     "REPRO_BACKOFF": "base simulated backoff seconds between retries",

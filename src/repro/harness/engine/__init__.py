@@ -1,19 +1,22 @@
-"""Sweep execution engine: concurrent cell fan-out + persistent caching.
+"""Sweep execution engine: one cell core, two execution paths, caching.
 
-The substrate under ``run_experiment``, the figures, Table III and
-``repro report``: every (model, shape) cell of a sweep is fingerprinted,
-served from the on-disk :class:`ResultCache` when possible, and executed
-concurrently otherwise, with a deterministic merge that keeps engine
-output bit-identical to the serial reference loop.
+The substrate under ``run_campaign``, the figures, Table III,
+``repro report`` and the campaign service: every (model, shape) cell of
+a sweep is fingerprinted, served from the on-disk :class:`ResultCache`
+when possible, and executed otherwise — inline (the default) or fanned
+out over a process pool, with a deterministic merge that keeps engine
+output bit-identical to the serial reference loop.  The per-cell state
+machine lives once, in :mod:`repro.harness.engine.cell`.
 
 Process-wide configuration (read once, on first use):
 
 * ``REPRO_CACHE=off`` disables the result cache;
 * ``REPRO_CACHE_DIR`` relocates it (default
   ``$XDG_CACHE_HOME/repro/results``);
-* ``REPRO_JOBS=N`` caps the worker-pool width (``1`` forces serial);
-* ``REPRO_ENGINE=process`` swaps the GIL-bound thread pool for a
-  ``ProcessPoolExecutor`` so ``--jobs`` scales past one core;
+* ``REPRO_JOBS=N`` caps the process-pool width (``1`` forces serial);
+* ``REPRO_ENGINE=process`` fans cache-missed cells out over a
+  ``ProcessPoolExecutor`` so ``--jobs`` scales past one core
+  (``serial``, the default, runs them inline);
 * ``REPRO_FAULTS`` / ``REPRO_RETRIES`` / ``REPRO_BACKOFF`` /
   ``REPRO_MAX_CELL_SECONDS`` / ``REPRO_FAIL_FAST`` configure the
   resilience layer (see :class:`RunOptions`);
@@ -94,7 +97,7 @@ _default_run_options: Optional[RunOptions] = None
 def default_run_options() -> RunOptions:
     """The process-wide :class:`RunOptions`, from the environment on
     first use.  ``repro report`` and the figure builders call
-    ``run_experiment`` with no explicit options; this is what they get,
+    ``run_campaign`` with no explicit options; this is what they get,
     so a campaign inherits ``REPRO_FAULTS``-family knobs (or a CLI
     override installed via :func:`set_default_run_options`) everywhere."""
     global _default_run_options

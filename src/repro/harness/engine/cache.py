@@ -14,7 +14,7 @@ post-mortem.
 
 Writes are atomic (temp file + ``os.replace``) and the in-process
 hit/miss/store/evict counters are lock-protected, so the cache is safe
-under the engine's thread-pool fan-out.  The store is additionally safe
+to share across the daemon's threads.  The store is additionally safe
 for *multi-process* writers (the ``--engine process`` fan-out): every
 replace and eviction runs under a per-digest advisory file lock
 (``fcntl.flock`` on a ``<entry>.lock`` sidecar, degrading to the

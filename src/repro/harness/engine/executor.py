@@ -1,49 +1,17 @@
-"""The sweep engine: concurrent, cached, fault-tolerant execution of cells.
+"""The sweep engine: two execution paths over the cell core, plus reports.
 
 ``SweepEngine.run`` is contractually bit-identical to the serial
-reference loop: cells fan out over a ``concurrent.futures`` executor
-(every cell is an independent, deterministic simulation) and merge back
-into the :class:`ResultSet` in serial cell order.  Two fan-out modes
-exist: ``mode="thread"`` (the classic GIL-bound pool — cheap, but the
-Python-heavy simulator loops serialize on the GIL) and
-``mode="process"`` (``--engine process`` / ``REPRO_ENGINE=process``),
-which dispatches each cache-missed cell to a ``ProcessPoolExecutor``
-worker carrying a frozen payload (see
-:mod:`repro.harness.engine.worker`), scaling ``--jobs`` past one core.
-The parent stays the single writer of the journal and the sole merge
-point; workers write the (multi-process-safe) result cache themselves.
-A persistent :class:`ResultCache` keyed by cell fingerprints makes warm
-re-runs — a second ``repro report``, regenerating a figure after editing
-prose — skip the simulator entirely.
-
-Fault tolerance: a :class:`~repro.harness.engine.options.RunOptions` may
-carry a deterministic :class:`~repro.sim.faults.FaultConfig` and a
-:class:`~repro.harness.engine.options.RetryPolicy`.  Faulted attempts
-retry with exponential backoff in *simulated* time; a cell that keeps
-failing is isolated into a degraded ``failed`` measurement (the paper's
-e = 0 accounting) instead of killing the sweep — unless ``fail_fast``
-asks for the campaign to abort.  Failed cells are never written to the
-cache, and fault-enabled runs fingerprint their cells separately, so
-retries cannot poison clean results.
-
-Trace fidelity: when a caller passes a :class:`Profiler`, each executed
-cell records into a private profiler — fault (``FAULT``) and backoff
-(``RETRY``) spans included — and the engine replays the events into the
-caller's profiler in cell order, so the simulated timeline is
-byte-identical to the serial one; cache *reads* are bypassed for such
-runs (a cached cell would leave no trace events to corroborate).
-
-Self-healing: an enabled :class:`~repro.harness.health.BreakerPolicy`
-activates the per-lane health subsystem (:mod:`repro.harness.health`).
-Lanes that keep failing permanently trip OPEN and their cells reroute
-down a :class:`~repro.harness.health.FallbackLadder`; substituted
-measurements carry full provenance, breaker transitions are journaled
-and traced, and after a simulated cooldown a probe cell decides whether
-the lane re-closes.  Because breaker state crosses cell boundaries,
-breaker-enabled runs execute serially in cell order and bypass cache
-reads (native successes are still written); with breakers disabled —
-the default — every code path is byte-identical to the pre-health
-engine.
+reference loop.  Every cell goes through the cell core
+(:mod:`repro.harness.engine.cell`, which also documents the fault,
+trace and breaker semantics of a cell); the engine only schedules it.
+``mode="serial"`` (the default) runs the cells inline in cell order.
+``mode="process"`` (``--engine process`` / ``REPRO_ENGINE=process``)
+dispatches each cache-missed cell to a ``ProcessPoolExecutor`` worker
+carrying a frozen payload (see :mod:`repro.harness.engine.worker`),
+scaling ``--jobs`` past one core; the parent stays the single writer of
+the journal and the sole merge point, recording results in cell order,
+while workers write the (multi-process-safe) result cache themselves.
+Breaker-enabled runs always run inline: lane state crosses cells.
 
 Observability: every run produces a :class:`SweepReport` with per-cell
 wall-clock offsets/timings, attempt counts and cache outcomes,
@@ -58,14 +26,13 @@ import contextlib
 import multiprocessing
 import os
 import sys
-import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
-from ...core.types import MatrixShape, Precision
+from ...core.types import Precision
 from ...errors import (
     CellFailure,
     ConfigError,
@@ -73,76 +40,38 @@ from ...errors import (
     RunInterrupted,
     WorkerLost,
 )
-from ...models.base import ProgrammingModel
-from ...models.registry import model_by_name
-from ...sim.faults import FaultInjector
 from ...trace.events import EventKind
 from ...trace.profiler import Profiler
 from ..experiment import Experiment
 from ..export import measurement_from_dict, measurement_to_dict
-from ..health import (
-    BreakerState,
-    BreakerTransition,
-    FallbackLadder,
-    HealthRegistry,
-    resolve_hop,
-)
-from ..results import Measurement, ResultSet
+from ..health import BreakerTransition
+from ..journal.signals import graceful_shutdown
+from ..results import ResultSet
 from .cache import ResultCache
-from .fingerprint import campaign_fingerprint, cell_fingerprint
+from .cell import (
+    BREAKER_EVENT,
+    CellOutcome,
+    CellPlan,
+    CellRecord,
+    execute_cell,
+    executed_status,
+    lookup_cell,
+    record_cell,
+    run_cell,
+)
 from .options import RunOptions
 from .worker import (
     CellTask,
     RunPayload,
-    attempt_cell,
     execute_cell_payload,
     failed_measurement,
 )
 
 __all__ = ["CellRecord", "SweepReport", "SweepEngine", "ENGINE_MODES"]
 
-#: Executor modes ``SweepEngine`` accepts: a GIL-bound thread pool (the
-#: classic engine) or a true multi-core process pool.
-ENGINE_MODES = ("thread", "process")
-
-#: Trace event kind for each breaker state a lane can transition *into*.
-_BREAKER_EVENT = {
-    BreakerState.OPEN: EventKind.BREAKER_OPEN,
-    BreakerState.HALF_OPEN: EventKind.BREAKER_HALF_OPEN,
-    BreakerState.CLOSED: EventKind.BREAKER_CLOSE,
-}
-
-
-@dataclass(frozen=True)
-class CellRecord:
-    """Observability record of one executed, served or failed cell."""
-
-    model: str
-    shape: str
-    fingerprint: str
-    cached: bool
-    wall_s: float
-    #: Wall-clock offset of this cell from the start of the engine run —
-    #: real (possibly overlapping) positions under the thread-pool fan-out.
-    start_s: float = 0.0
-    #: "ok" | "cached" | "replayed" | "failed" | "substituted"
-    status: str = "ok"
-    attempts: int = 1
-    faults: int = 0
-    #: Lane that actually served the cell when it was substituted ("").
-    served_by: str = ""
-
-    @property
-    def failed(self) -> bool:
-        return self.status == "failed"
-
-    @property
-    def replayed(self) -> bool:
-        return self.status == "replayed"
-
-    @property
-    def substituted(self) -> bool:
-        return self.status == "substituted"
+#: Executor modes ``SweepEngine`` accepts: cells inline in the calling
+#: process, or fanned out over a multi-core process pool.
+ENGINE_MODES = ("serial", "process")
 
 
 @dataclass
@@ -154,8 +83,8 @@ class SweepReport:
     cache_stats: Dict[str, int] = field(default_factory=dict)
     parallel: bool = False
     workers: int = 1
-    #: Which executor fanned the cells out: "thread" or "process".
-    engine: str = "thread"
+    #: Which executor drove the cells: "serial" or "process".
+    engine: str = "serial"
     wall_s: float = 0.0
     #: Run identity when the sweep is journaled ("" otherwise).
     run_id: str = ""
@@ -225,17 +154,13 @@ class SweepReport:
             # breaker clock itself is simulated lane time).
             offset = (self.cells[tr.cell_index].start_s
                       if 0 <= tr.cell_index < len(self.cells) else 0.0)
-            prof.record_at(_BREAKER_EVENT[tr.to_state], tr.lane, offset, 0.0,
+            prof.record_at(BREAKER_EVENT[tr.to_state], tr.lane, offset, 0.0,
                            cell=tr.cell_index, at_s=tr.at_s,
                            reason=tr.reason)
         return prof
 
     def _fanout_label(self) -> str:
-        if not self.parallel:
-            return "serial"
-        if self.engine == "process":
-            return f"process x{self.workers}"
-        return f"parallel x{self.workers}"
+        return f"process x{self.workers}" if self.parallel else "serial"
 
     def render(self) -> str:
         """ASCII summary for ``repro run --engine-stats``."""
@@ -284,25 +209,27 @@ class SweepReport:
 
 
 class SweepEngine:
-    """Concurrent, cached, fault-tolerant executor of experiment sweeps."""
+    """Cached, fault-tolerant executor of experiment sweeps."""
 
     def __init__(self, *, cache: Optional[ResultCache] = None,
-                 parallel: bool = True,
                  max_workers: Optional[int] = None,
-                 mode: str = "thread") -> None:
+                 mode: str = "serial") -> None:
         if mode not in ENGINE_MODES:
             raise ConfigError(
                 f"engine mode must be one of {'/'.join(ENGINE_MODES)}, "
                 f"got {mode!r}")
         self.cache = cache
-        self.parallel = parallel
         self.max_workers = max_workers
         self.mode = mode
         self.last_report: Optional[SweepReport] = None
 
+    @property
+    def parallel(self) -> bool:
+        """Whether cache-missed cells may fan out over a worker pool."""
+        return self.mode == "process" and self.max_workers != 1
+
     @classmethod
     def from_env(cls, cache_enabled: Optional[bool] = None,
-                 parallel: Optional[bool] = None,
                  max_workers: Optional[int] = None,
                  mode: Optional[str] = None) -> "SweepEngine":
         """Engine configured from ``REPRO_CACHE``/``REPRO_CACHE_DIR``/
@@ -313,14 +240,11 @@ class SweepEngine:
         if cache_enabled is None:
             cache_enabled = cfg.get_bool("REPRO_CACHE", True)
         if max_workers is None:
-            jobs = cfg.get_int("REPRO_JOBS", 0)
-            max_workers = jobs or None
-        if parallel is None:
-            parallel = max_workers != 1
+            max_workers = cfg.get_int("REPRO_JOBS", 0) or None
         if mode is None:
-            mode = cfg.get("REPRO_ENGINE") or "thread"
+            mode = cfg.get("REPRO_ENGINE") or "serial"
         return cls(cache=ResultCache() if cache_enabled else None,
-                   parallel=parallel, max_workers=max_workers, mode=mode)
+                   max_workers=max_workers, mode=mode)
 
     @staticmethod
     def _mp_context():
@@ -349,516 +273,42 @@ class SweepEngine:
 
         Crash safety: with ``options.journal`` set, every event of the
         run lands in the write-ahead journal (fsync'd before the engine
-        proceeds), SIGINT/SIGTERM finalize the journal and surface as
-        :class:`~repro.errors.RunInterrupted`, and fingerprints found in
-        ``options.replay`` are served from a prior run's journal without
-        touching cache or simulator — the resume path.
-        """
-        opts = options if options is not None else RunOptions()
-        if profiler is None:
-            profiler = opts.profiler
-        journal = opts.journal
-        replay = opts.replay or {}
-        replay_meta = opts.replay_meta or {}
-        run_id = (journal.run_id if journal is not None
-                  else (opts.run_id or ""))
-        injector = (FaultInjector(opts.faults) if opts.faults.enabled
-                    else None)
-        health: Optional[HealthRegistry] = None
-        if opts.breaker.enabled:
-            ladder = (opts.fallback if opts.fallback is not None
-                      else FallbackLadder.default_for(experiment))
-            health = HealthRegistry(opts.breaker, ladder, experiment)
-        run_start = time.perf_counter()
-        cells: List[Tuple[ProgrammingModel, MatrixShape]] = [
-            (model_by_name(name), shape)
-            for name in experiment.models
-            for shape in experiment.shapes()
-        ]
-        fingerprints = [cell_fingerprint(experiment, model.name, shape,
-                                         faults=opts.faults)
-                        for model, shape in cells]
-        if journal is not None and not journal.opened:
-            journal.open_run(
-                manifest=experiment.to_dict(),
-                campaign=campaign_fingerprint(
-                    experiment, opts.faults, breaker=opts.breaker,
-                    fallback=health.ladder if health is not None else None),
-                options=opts.payload(),
-                cells=[{"index": i, "model": model.name,
-                        "shape": str(shape), "fingerprint": fingerprints[i]}
-                       for i, (model, shape) in enumerate(cells)],
-            )
-        measurements: List[Optional[Measurement]] = [None] * len(cells)
-        records: List[Optional[CellRecord]] = [None] * len(cells)
-
-        if health is None:
-            for i, (model, shape) in enumerate(cells):
-                replayed = replay.get(fingerprints[i])
-                if replayed is None:
-                    continue
-                measurements[i] = replayed
-                records[i] = CellRecord(
-                    model=model.name, shape=str(shape),
-                    fingerprint=fingerprints[i], cached=False, wall_s=0.0,
-                    start_s=time.perf_counter() - run_start,
-                    status="replayed")
-
-        # Breaker runs bypass cache reads: routing depends on lane state
-        # accumulated across cells, so a cache hit would starve the state
-        # machine of the native outcome that drives it (same precedent as
-        # profiler runs, which need the trace events a hit would skip).
-        use_cache_reads = (self.cache is not None and profiler is None
-                           and health is None)
-        misses: List[int] = []
-        if health is not None:
-            misses = list(range(len(cells)))
-        else:
-            for i, (model, shape) in enumerate(cells):
-                if measurements[i] is not None:
-                    continue
-                cached = (self.cache.get(fingerprints[i]) if use_cache_reads
-                          else None)
-                if cached is None:
-                    misses.append(i)
-                else:
-                    measurements[i] = cached
-                    records[i] = CellRecord(
-                        model=model.name, shape=str(shape),
-                        fingerprint=fingerprints[i], cached=True, wall_s=0.0,
-                        start_s=time.perf_counter() - run_start,
-                        status="cached")
-                    if journal is not None:
-                        journal.cell_done(i, fingerprints[i], cached,
-                                          cached=True, wall_s=0.0)
-
-        traces: List[Optional[Profiler]] = [None] * len(cells)
-
-        def execute(i: int) -> None:
-            model, shape = cells[i]
-            cell_prof = Profiler() if profiler is not None else None
-            if journal is not None:
-                journal.cell_start(i, model.name, str(shape),
-                                   fingerprints[i])
-            t0 = time.perf_counter()
-            start_s = t0 - run_start
-            m, attempts, faults_hit, _spent = self._attempt_cell(
-                model, shape, experiment, opts, injector, cell_prof)
-            wall = time.perf_counter() - t0
-            if self.cache is not None and not m.failed:
-                # Failed cells are never cached: a transient node condition
-                # must not outlive the run that suffered it.
-                self.cache.put(fingerprints[i], m,
-                               metadata={"experiment": experiment.exp_id})
-            if journal is not None:
-                if m.failed:
-                    journal.cell_failed(i, fingerprints[i], m,
-                                        attempts=attempts, faults=faults_hit,
-                                        reason=m.note)
-                else:
-                    journal.cell_done(i, fingerprints[i], m, cached=False,
-                                      wall_s=wall, attempts=attempts,
-                                      faults=faults_hit)
-            measurements[i] = m
-            traces[i] = cell_prof
-            records[i] = CellRecord(
-                model=model.name, shape=str(shape),
-                fingerprint=fingerprints[i], cached=False, wall_s=wall,
-                start_s=start_s, status="failed" if m.failed else "ok",
-                attempts=attempts, faults=faults_hit)
-
-        def execute_health(i: int) -> None:
-            # One cell under the health subsystem, in strict cell order:
-            # route -> native attempt (unless the lane is OPEN) -> serve
-            # via the fallback ladder if the lane is/just went OPEN ->
-            # charge simulated costs to the lane clock -> journal the
-            # per-cell health metadata that makes resume byte-identical.
-            model, shape = cells[i]
-            fp = fingerprints[i]
-            lane = health.lane_for(model.name)
-            replayed = replay.get(fp)
-            if replayed is not None:
-                meta = health.require_meta(replay_meta.get(fp), fp)
-                health.feed_replay(lane, meta, i)
-                # Transitions replayed here were journaled by the original
-                # process; keep them in the report history only.
-                health.drain()
-                measurements[i] = replayed
-                records[i] = CellRecord(
-                    model=model.name, shape=str(shape), fingerprint=fp,
-                    cached=False, wall_s=0.0,
-                    start_s=time.perf_counter() - run_start,
-                    status="replayed", served_by=replayed.served_by)
-                return
-            cell_prof = Profiler() if profiler is not None else None
-            if journal is not None:
-                journal.cell_start(i, model.name, str(shape), fp)
-            t0 = time.perf_counter()
-            start_s = t0 - run_start
-            decision = lane.route(i)
-            meta = {"native": "none", "native_cost_s": 0.0,
-                    "serve_cost_s": 0.0}
-            attempts = 0
-            faults_hit = 0
-            m: Optional[Measurement] = None
-            if decision != "substitute":
-                m, attempts, faults_hit, spent_s = self._attempt_cell(
-                    model, shape, experiment, opts, injector, cell_prof)
-                native_cost = spent_s + (0.0 if m.failed
-                                         else sum(m.times_s))
-                meta["native"] = "failed" if m.failed else "ok"
-                meta["native_cost_s"] = native_cost
-                lane.record_native(not m.failed, native_cost, i)
-            final = m
-            serve_cost = 0.0
-            if ((m is None or m.failed)
-                    and lane.state is BreakerState.OPEN):
-                served, serve_cost, hops_tried = self._serve_via_ladder(
-                    model, shape, experiment, opts, injector, cell_prof,
-                    health, lane.lane)
-                if served is not None:
-                    final = served
-                else:
-                    reason = (m.note if m is not None
-                              else f"lane {lane.lane} open")
-                    final = Measurement(
-                        model=model.name, display=model.display,
-                        shape=shape, precision=experiment.precision,
-                        supported=False, failed=True,
-                        note=(f"{reason}; fallback ladder exhausted "
-                              f"({hops_tried} hop(s) tried)"),
-                        substituted_from=lane.lane, ladder_hops=hops_tried)
-                meta["serve_cost_s"] = serve_cost
-            lane.record_substituted(serve_cost)
-            assert final is not None
-            wall = time.perf_counter() - t0
-            for tr in health.drain():
-                if journal is not None:
-                    journal.breaker(**tr.payload())
-                if cell_prof is not None:
-                    cell_prof.record(_BREAKER_EVENT[tr.to_state], tr.lane,
-                                     0.0, cell=tr.cell_index, at_s=tr.at_s,
-                                     reason=tr.reason)
-            if (self.cache is not None and not final.failed
-                    and not final.substituted):
-                # Only native successes are cached: a substituted cell is
-                # a routing outcome of *this* run's lane state, not a
-                # reusable property of the (experiment, model, shape) key.
-                self.cache.put(fp, final,
-                               metadata={"experiment": experiment.exp_id})
-            if journal is not None:
-                if final.failed:
-                    journal.cell_failed(i, fp, final, attempts=attempts,
-                                        faults=faults_hit, reason=final.note,
-                                        health=meta)
-                else:
-                    journal.cell_done(i, fp, final, cached=False,
-                                      wall_s=wall, attempts=attempts,
-                                      faults=faults_hit, health=meta)
-            measurements[i] = final
-            traces[i] = cell_prof
-            if final.failed:
-                status = "failed"
-            elif final.substituted:
-                status = "substituted"
-            else:
-                status = "ok"
-            records[i] = CellRecord(
-                model=model.name, shape=str(shape), fingerprint=fp,
-                cached=False, wall_s=wall, start_s=start_s, status=status,
-                attempts=attempts, faults=faults_hit,
-                served_by=final.served_by)
-
-        workers = 1
-        if health is None and self.parallel and len(misses) > 1:
-            workers = min(len(misses),
-                          self.max_workers or (os.cpu_count() or 4))
-
-        def drive_serial() -> None:
-            fn = execute if health is None else execute_health
-            for i in misses:
-                fn(i)
-
-        def drive_threads() -> None:
-            pool = ThreadPoolExecutor(max_workers=workers)
-            try:
-                futures = [pool.submit(execute, i) for i in misses]
-                for future in futures:
-                    future.result()
-            finally:
-                # In-flight cells finish (and journal themselves);
-                # never-started ones are cancelled.
-                pool.shutdown(wait=True, cancel_futures=True)
-
-        starts: Dict[int, float] = {}
-
-        def absorb(result: dict) -> None:
-            # Parent-side merge of one worker result: re-raise fail-fast
-            # errors as their original class, mirror the worker's cache
-            # store into the parent counters, journal through the single
-            # parent writer, and reconstruct the private trace.
-            i = result["index"]
-            err = result.get("error")
-            if err is not None:
-                err_cls = {"RetryExhaustedError": RetryExhaustedError,
-                           "WorkerLost": WorkerLost}.get(
-                               err["type"], CellFailure)
-                raise err_cls(err["message"], cell=err["cell"],
-                              attempts=err["attempts"], reason=err["reason"])
-            payload = result["measurement"]
-            m = measurement_from_dict(
-                payload, default_precision=Precision.parse(
-                    payload.get("precision", "fp64")))
-            if self.cache is not None and result["stored"]:
-                self.cache.stats.record(stores=1)
-            wall = result["wall_s"]
-            model, shape = cells[i]
-            if journal is not None:
-                # The start/done pair lands here, in drain (= cell) order,
-                # keeping the record stream identical to a serial run's.
-                # Recovery semantics are unchanged: a cell without its
-                # done record re-executes on resume either way.
-                journal.cell_start(i, model.name, str(shape),
-                                   fingerprints[i])
-                if m.failed:
-                    journal.cell_failed(i, fingerprints[i], m,
-                                        attempts=result["attempts"],
-                                        faults=result["faults"],
-                                        reason=m.note)
-                else:
-                    journal.cell_done(i, fingerprints[i], m, cached=False,
-                                      wall_s=wall,
-                                      attempts=result["attempts"],
-                                      faults=result["faults"])
-            if result.get("events") is not None:
-                prof = Profiler()
-                for kind, name, duration_s, meta in result["events"]:
-                    prof.record(EventKind(kind), name, duration_s, **meta)
-                traces[i] = prof
-            measurements[i] = m
-            records[i] = CellRecord(
-                model=model.name, shape=str(shape),
-                fingerprint=fingerprints[i], cached=False, wall_s=wall,
-                start_s=starts.get(i, 0.0),
-                status="failed" if m.failed else "ok",
-                attempts=result["attempts"], faults=result["faults"])
-
-        watchdog_counts = {"respawns": 0, "redrives": 0}
-
-        def drive_process() -> None:
-            # Supervised fan-out: the parent is the watchdog.  It waits
-            # on the *oldest* outstanding cell (submit order = cell
-            # order, so that wait doubles as the deterministic merge);
-            # a worker that vanishes (SIGKILL, segfault — surfaced as
-            # BrokenProcessPool on every pending future at once) or
-            # hangs past the policy deadline gets the whole pool killed
-            # and rebuilt, finished results harvested, and unfinished
-            # cells resubmitted.  A cell that exhausts its redrive
-            # budget fails through the normal degraded-cell path, so
-            # the journal record stream stays deterministic either way.
-            wd = opts.watchdog
-            payload = RunPayload(
-                experiment=experiment.to_dict(), faults=opts.faults,
-                retry=opts.retry, fail_fast=opts.fail_fast,
-                traced=profiler is not None,
-                cache_root=(self.cache.root if self.cache is not None
-                            else None))
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       mp_context=self._mp_context())
-            outstanding: Dict[int, object] = {}  # index -> future
-            ready: Dict[int, dict] = {}          # index -> result dict
-            drives: Dict[int, int] = {}          # index -> submissions
-
-            def submit(i: int) -> None:
-                model, shape = cells[i]
-                starts.setdefault(i, time.perf_counter() - run_start)
-                drives[i] = drives.get(i, 0) + 1
-                task = CellTask(index=i, model=model.name,
-                                shape=(shape.m, shape.n, shape.k),
-                                fingerprint=fingerprints[i])
-                outstanding[i] = pool.submit(execute_cell_payload,
-                                             payload, task)
-
-            def harvest() -> None:
-                # Results that landed before the pool broke are still
-                # good; keeping them means recovery never re-runs a
-                # finished cell.
-                for j, future in list(outstanding.items()):
-                    if not future.done() or future.cancelled():
-                        continue
-                    try:
-                        ready[j] = future.result(timeout=0)
-                    except Exception:
-                        continue
-                    del outstanding[j]
-
-            def lost_result(i: int, why: str) -> dict:
-                # Synthetic worker result for a cell the watchdog gave
-                # up on; flows through absorb() like any real failure.
-                model, shape = cells[i]
-                cell = f"{model.name}@{shape}"
-                attempts = drives.get(i, 1)
-                if opts.fail_fast:
-                    return {"index": i,
-                            "error": {"type": "WorkerLost",
-                                      "message": f"cell {cell}: {why}",
-                                      "cell": cell, "attempts": attempts,
-                                      "reason": why}}
-                m = failed_measurement(model, shape, experiment, why)
-                return {"index": i, "error": None,
-                        "measurement": measurement_to_dict(m),
-                        "attempts": attempts, "faults": 0, "wall_s": 0.0,
-                        "stored": False, "events": None}
-
-            def recover(why: str) -> None:
-                nonlocal pool
-                watchdog_counts["respawns"] += 1
-                harvest()
-                # kill(), not terminate(): a hung worker may be blocked
-                # in native code where SIGTERM never gets a look-in.
-                for proc in list(dict(getattr(pool, "_processes", None)
-                                      or {}).values()):
-                    with contextlib.suppress(Exception):
-                        proc.kill()
-                pool.shutdown(wait=False, cancel_futures=True)
-                if watchdog_counts["respawns"] > wd.max_respawns:
-                    print(f"repro: watchdog: {why}; respawn budget "
-                          f"({wd.max_respawns}) exhausted, failing "
-                          f"{len(outstanding)} unfinished cell(s)",
-                          file=sys.stderr)
-                    for j in sorted(outstanding):
-                        ready[j] = lost_result(
-                            j, f"{why}; worker-pool respawn budget "
-                               f"({wd.max_respawns}) exhausted")
-                    outstanding.clear()
-                    return
-                print(f"repro: watchdog: {why}; respawning worker pool "
-                      f"({watchdog_counts['respawns']}/{wd.max_respawns})",
-                      file=sys.stderr)
-                pool = ProcessPoolExecutor(max_workers=workers,
-                                           mp_context=self._mp_context())
-                resubmit = sorted(outstanding)
-                outstanding.clear()
-                for j in resubmit:
-                    if drives.get(j, 0) > wd.max_redrives:
-                        ready[j] = lost_result(
-                            j, f"{why}; cell re-driven "
-                               f"{drives[j] - 1} time(s) without "
-                               f"completing (redrive budget "
-                               f"{wd.max_redrives})")
-                    else:
-                        watchdog_counts["redrives"] += 1
-                        submit(j)
-
-            timeout = wd.cell_timeout_s if wd.enabled else None
-            try:
-                for i in misses:
-                    submit(i)
-                pos = 0
-                while pos < len(misses):  # submit order = cell order
-                    i = misses[pos]
-                    if i in ready:
-                        absorb(ready.pop(i))
-                        pos += 1
-                        continue
-                    try:
-                        result = outstanding[i].result(timeout=timeout)
-                    except FuturesTimeoutError:
-                        recover(f"hung worker: no result for cell "
-                                f"{pos + 1}/{len(misses)} within "
-                                f"{wd.cell_timeout_s:g}s")
-                        continue
-                    except BrokenProcessPool:
-                        if not wd.enabled:
-                            raise
-                        recover("worker lost (killed or crashed)")
-                        continue
-                    del outstanding[i]
-                    absorb(result)
-                    pos += 1
-            except KeyboardInterrupt:
-                # Drain before the journal closes: cancel whatever never
-                # started, wait out the in-flight workers, and absorb
-                # (and journal) their results so close_run('interrupted')
-                # counts them as completed.
-                for j, future in list(outstanding.items()):
-                    if future.cancel():
-                        del outstanding[j]
-                for j in sorted(set(outstanding) | set(ready)):
-                    with contextlib.suppress(Exception):
-                        absorb(ready.pop(j) if j in ready
-                               else outstanding[j].result())
-                raise
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
-
-        if self.mode == "process" and health is None and workers > 1:
-            drive = drive_process
-        elif workers > 1:
-            drive = drive_threads
-        else:
-            drive = drive_serial
-        self._execute_all(drive, journal, run_id, measurements, len(cells))
-
-        if profiler is not None:
-            # Deterministic replay: cell order, original durations — the
-            # resulting timeline equals the serial run's byte for byte.
-            for cell_prof in traces:
-                if cell_prof is None:
-                    continue
-                for ev in cell_prof.events:
-                    profiler.record(ev.kind, ev.name, ev.duration_s,
-                                    **ev.metadata)
-
-        if journal is not None and not journal.finalized:
-            journal.close_run("complete", completed=len(cells),
-                              total=len(cells))
-        results = ResultSet(experiment)
-        for m in measurements:
-            assert m is not None
-            results.add(m)
-        self.last_report = SweepReport(
-            experiment_id=experiment.exp_id,
-            cells=[r for r in records if r is not None],
-            cache_stats=(self.cache.stats.snapshot()
-                         if self.cache is not None else {}),
-            parallel=workers > 1,
-            workers=workers,
-            engine=self.mode,
-            wall_s=time.perf_counter() - run_start,
-            run_id=run_id,
-            transitions=(list(health.transitions) if health is not None
-                         else []),
-            respawns=watchdog_counts["respawns"],
-            redrives=watchdog_counts["redrives"],
-        )
-        return results
-
-    def _execute_all(self, drive, journal, run_id: str,
-                     measurements: List[Optional[Measurement]],
-                     total: int) -> None:
-        """Drive the cell fan-out, finalizing the journal on interrupt.
-
-        ``drive`` is one of the serial/thread-pool/process-pool loops
-        built in :meth:`run`.  With a journal active, SIGINT/SIGTERM are
-        routed into ``KeyboardInterrupt`` (see
-        :func:`~repro.harness.journal.graceful_shutdown`); in-flight
-        cells are allowed to finish and journal their results (the
-        process drive drains its workers first), pending cells are
-        cancelled, a ``run-close(interrupted)`` record is written, and
+        proceeds) and fingerprints found in ``options.replay`` are served
+        from a prior run's journal without touching cache or simulator —
+        the resume path.  SIGINT/SIGTERM are routed into
+        ``KeyboardInterrupt`` (see
+        :func:`~repro.harness.journal.graceful_shutdown`): in-flight
+        cells finish and journal their results (the process drive drains
+        its workers first), pending cells are cancelled, a
+        ``run-close(interrupted)`` record is written, and
         :class:`~repro.errors.RunInterrupted` tells the caller how to
         resume.  ``fail_fast`` aborts close the journal as ``failed``
         before the :class:`CellFailure` propagates.
         """
-        from ..journal.signals import graceful_shutdown
+        opts = (options if options is not None
+                else RunOptions()).with_profiler(profiler)
+        plan = CellPlan.build(experiment, opts, self.cache)
+        journal = opts.journal
+        run_id = (journal.run_id if journal is not None
+                  else (opts.run_id or ""))
+        if journal is not None and not journal.opened:
+            plan.open_run(journal)
 
+        counts = {"workers": 1, "respawns": 0, "redrives": 0}
+        total = len(plan.cells)
         guard = (graceful_shutdown() if journal is not None
                  else contextlib.nullcontext())
         try:
             with guard:
-                drive()
+                # Breaker state crosses cell boundaries, so breaker runs
+                # always execute inline, in cell order.
+                if self.parallel and plan.health is None:
+                    self._drive_process(plan, counts)
+                else:
+                    for i in range(total):
+                        record_cell(plan, i, run_cell(plan, i))
         except KeyboardInterrupt:
-            done = sum(1 for m in measurements if m is not None)
+            done = plan.done()
             if journal is not None and not journal.finalized:
                 journal.close_run("interrupted", completed=done, total=total)
             raise RunInterrupted(
@@ -868,76 +318,232 @@ class SweepEngine:
                 run_id=run_id, completed=done, total=total) from None
         except CellFailure:
             if journal is not None and not journal.finalized:
-                done = sum(1 for m in measurements if m is not None)
-                journal.close_run("failed", completed=done, total=total)
+                journal.close_run("failed", completed=plan.done(),
+                                  total=total)
             raise
 
-    # -- the retry loop ---------------------------------------------------
+        if opts.profiler is not None:
+            # Deterministic replay: cell order, original durations — the
+            # resulting timeline equals the serial run's byte for byte.
+            for cell_prof in plan.traces:
+                if cell_prof is None:
+                    continue
+                for ev in cell_prof.events:
+                    opts.profiler.record(ev.kind, ev.name, ev.duration_s,
+                                         **ev.metadata)
 
-    def _attempt_cell(self, model: ProgrammingModel, shape: MatrixShape,
-                      experiment: Experiment, opts: RunOptions,
-                      injector: Optional[FaultInjector],
-                      cell_prof: Optional[Profiler], *,
-                      lane: str = "",
-                      ) -> Tuple[Measurement, int, int, float]:
-        """Run one cell under the retry policy.
+        if journal is not None and not journal.finalized:
+            journal.close_run("complete", completed=len(plan.cells),
+                              total=len(plan.cells))
+        self.last_report = SweepReport(
+            experiment_id=experiment.exp_id,
+            cells=[r for r in plan.records if r is not None],
+            cache_stats=(self.cache.stats.snapshot()
+                         if self.cache is not None else {}),
+            parallel=counts["workers"] > 1,
+            workers=counts["workers"],
+            engine=self.mode,
+            wall_s=plan.elapsed(),
+            run_id=run_id,
+            transitions=(list(plan.health.transitions)
+                         if plan.health is not None else []),
+            respawns=counts["respawns"],
+            redrives=counts["redrives"],
+        )
+        return plan.results()
 
-        Thin wrapper over :func:`~repro.harness.engine.worker.attempt_cell`
-        — the same loop the process-pool workers run, so the two engines
-        cannot drift.  See that function for the full contract.
+    def _drive_process(self, plan: CellPlan, counts: Dict[str, int]) -> None:
+        """Fan the cache-missed cells out over a supervised process pool.
+
+        Lookups run in the parent first; misses go to workers, and every
+        cell is recorded in cell order, so the journal stream equals the
+        inline loop's.  The parent is the watchdog: it waits on the
+        oldest outstanding cell; a worker that vanishes (SIGKILL,
+        segfault: ``BrokenProcessPool`` on every pending future) or
+        hangs past the deadline gets the pool killed and rebuilt,
+        finished results harvested and unfinished cells resubmitted.  A
+        cell over its redrive budget fails through the degraded-cell
+        path, so the record stream stays deterministic either way.
         """
-        return attempt_cell(model, shape, experiment, opts, injector,
-                            cell_prof, lane=lane)
+        n = len(plan.cells)
+        found = [lookup_cell(plan, i) for i in range(n)]
+        misses = [i for i in range(n) if found[i] is None]
+        workers = min(len(misses), self.max_workers or (os.cpu_count() or 4))
+        if workers < 2:
+            for i in range(n):
+                record_cell(plan, i, found[i] or execute_cell(plan, i))
+            return
+        counts["workers"] = workers
+        opts = plan.opts
+        wd = opts.watchdog
+        payload = RunPayload(
+            experiment=plan.experiment.to_dict(), faults=opts.faults,
+            retry=opts.retry, fail_fast=opts.fail_fast, traced=plan.traced,
+            cache_root=(self.cache.root if self.cache is not None
+                        else None))
+        pool = ProcessPoolExecutor(max_workers=workers,
+                                   mp_context=self._mp_context())
+        outstanding: Dict[int, object] = {}  # index -> future
+        ready: Dict[int, dict] = {}          # index -> result dict
+        drives: Dict[int, int] = {}          # index -> submissions
+        starts: Dict[int, float] = {}        # index -> first submission
 
-    # -- fallback routing --------------------------------------------------
+        def submit(i: int) -> None:
+            model, shape = plan.cells[i]
+            starts.setdefault(i, plan.elapsed())
+            drives[i] = drives.get(i, 0) + 1
+            task = CellTask(index=i, model=model.name,
+                            shape=(shape.m, shape.n, shape.k),
+                            fingerprint=plan.fingerprints[i])
+            outstanding[i] = pool.submit(execute_cell_payload, payload, task)
 
-    def _serve_via_ladder(self, model: ProgrammingModel, shape: MatrixShape,
-                          experiment: Experiment, opts: RunOptions,
-                          injector: Optional[FaultInjector],
-                          cell_prof: Optional[Profiler],
-                          health: HealthRegistry, origin: str,
-                          ) -> Tuple[Optional[Measurement], float, int]:
-        """Serve one cell of an OPEN lane via its fallback ladder.
+        def absorb(result: dict) -> None:
+            # Parent-side merge of one worker result: decode it (fail-fast
+            # errors re-raise as their original class), mirror the
+            # worker's cache store into the parent counters, and record
+            # it through the single parent journal writer.
+            i = result["index"]
+            outcome = _decode_result(result, starts.get(i, 0.0))
+            if self.cache is not None and result["stored"]:
+                self.cache.stats.record(stores=1)
+            record_cell(plan, i, outcome, store=False)
 
-        Walks the declared hops in order, skipping hops that resolve back
-        to the origin or to a lane the registry currently tracks as OPEN.
-        Hop attempts run under the same retry policy but on a *disjoint*
-        fault stream (keyed by the serving lane) and never feed the
-        serving lane's own health — serving is borrowing, not probing.
+        def harvest() -> None:
+            # Results that landed before the pool broke are still
+            # good; keeping them means recovery never re-runs a
+            # finished cell.
+            for j, future in list(outstanding.items()):
+                if not future.done() or future.cancelled():
+                    continue
+                try:
+                    ready[j] = future.result(timeout=0)
+                except Exception:
+                    continue
+                del outstanding[j]
 
-        Returns ``(measurement, serve_cost_s, hops_tried)``; the
-        measurement is ``None`` when the ladder is exhausted, and
-        otherwise keeps the origin cell's model/display with full
-        substitution provenance so Table III can price it honestly.
-        """
-        serve_cost = 0.0
-        tried = 0
-        cell = f"{model.name}@{shape}"
-        for hop in health.ladder.hops_for(origin):
-            serve_model, serve_device = resolve_hop(hop, experiment)
-            hop_spec = f"{serve_model.name}@{serve_device.value}"
-            if hop_spec == origin or health.is_open(hop_spec):
-                continue
-            serve_exp = (experiment if serve_device is experiment.device
-                         else replace(experiment, device=serve_device))
-            tried += 1
-            sm, _, _, s_spent = self._attempt_cell(
-                serve_model, shape, serve_exp, opts, injector, cell_prof,
-                lane=hop_spec)
-            serve_cost += s_spent
-            if sm.failed or not sm.supported:
-                continue
-            serve_cost += sum(sm.times_s)
-            if cell_prof is not None:
-                cell_prof.record(EventKind.SUBSTITUTION,
-                                 f"{origin}->{hop_spec}:{cell}", serve_cost,
-                                 hops=tried)
-            return (Measurement(
-                model=model.name, display=model.display, shape=shape,
-                precision=experiment.precision, times_s=sm.times_s,
-                warmup_count=sm.warmup_count, supported=True,
-                note=f"served by {hop_spec}; lane {origin} open",
-                bound=sm.bound, substituted_from=origin, served_by=hop_spec,
-                ladder_hops=tried), serve_cost, tried)
-        return None, serve_cost, tried
+        def lost_result(i: int, why: str) -> dict:
+            # Synthetic worker result for a cell the watchdog gave
+            # up on; flows through absorb() like any real failure.
+            model, shape = plan.cells[i]
+            cell = f"{model.name}@{shape}"
+            attempts = drives.get(i, 1)
+            if opts.fail_fast:
+                return {"index": i,
+                        "error": {"type": "WorkerLost",
+                                  "message": f"cell {cell}: {why}",
+                                  "cell": cell, "attempts": attempts,
+                                  "reason": why}}
+            m = failed_measurement(model, shape, plan.experiment, why)
+            return {"index": i, "error": None,
+                    "measurement": measurement_to_dict(m),
+                    "attempts": attempts, "faults": 0, "wall_s": 0.0,
+                    "stored": False, "events": None}
 
+        def recover(why: str) -> None:
+            nonlocal pool
+            counts["respawns"] += 1
+            harvest()
+            # kill(), not terminate(): a hung worker may be blocked
+            # in native code where SIGTERM never gets a look-in.
+            for proc in list(dict(getattr(pool, "_processes", None)
+                                  or {}).values()):
+                with contextlib.suppress(Exception):
+                    proc.kill()
+            pool.shutdown(wait=False, cancel_futures=True)
+            if counts["respawns"] > wd.max_respawns:
+                print(f"repro: watchdog: {why}; respawn budget "
+                      f"({wd.max_respawns}) exhausted, failing "
+                      f"{len(outstanding)} unfinished cell(s)",
+                      file=sys.stderr)
+                for j in sorted(outstanding):
+                    ready[j] = lost_result(
+                        j, f"{why}; worker-pool respawn budget "
+                           f"({wd.max_respawns}) exhausted")
+                outstanding.clear()
+                return
+            print(f"repro: watchdog: {why}; respawning worker pool "
+                  f"({counts['respawns']}/{wd.max_respawns})",
+                  file=sys.stderr)
+            pool = ProcessPoolExecutor(max_workers=workers,
+                                       mp_context=self._mp_context())
+            resubmit = sorted(outstanding)
+            outstanding.clear()
+            for j in resubmit:
+                if drives.get(j, 0) > wd.max_redrives:
+                    ready[j] = lost_result(
+                        j, f"{why}; cell re-driven "
+                           f"{drives[j] - 1} time(s) without "
+                           f"completing (redrive budget "
+                           f"{wd.max_redrives})")
+                else:
+                    counts["redrives"] += 1
+                    submit(j)
+
+        timeout = wd.cell_timeout_s if wd.enabled else None
+        i = 0
+        try:
+            for j in misses:
+                submit(j)
+            while i < n:  # cell order
+                if found[i] is None and i not in ready:
+                    try:
+                        ready[i] = outstanding[i].result(timeout=timeout)
+                    except FuturesTimeoutError:
+                        recover(f"hung worker: no result for cell "
+                                f"{misses.index(i) + 1}/{len(misses)} "
+                                f"within {wd.cell_timeout_s:g}s")
+                        continue
+                    except BrokenProcessPool:
+                        if not wd.enabled:
+                            raise
+                        recover("worker lost (killed or crashed)")
+                        continue
+                    del outstanding[i]
+                if found[i] is not None:
+                    record_cell(plan, i, found[i])
+                else:
+                    absorb(ready.pop(i))
+                i += 1
+        except KeyboardInterrupt:
+            # Drain before the journal closes: cancel whatever never
+            # started, wait out the in-flight workers, and record (and
+            # journal) their results and the remaining lookups so
+            # close_run('interrupted') counts them as completed.
+            for j, future in list(outstanding.items()):
+                if future.cancel():
+                    del outstanding[j]
+            for j in range(i, n):
+                with contextlib.suppress(Exception):
+                    if found[j] is not None:
+                        record_cell(plan, j, found[j])
+                    elif j in ready or j in outstanding:
+                        absorb(ready.pop(j) if j in ready
+                               else outstanding[j].result())
+            raise
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _decode_result(result: dict, start_s: float) -> CellOutcome:
+    """A pool worker's result dict as a cell outcome.
+
+    Fail-fast errors come back as structured dicts (exception classes
+    do not survive pickling with their keyword state) and re-raise here
+    as their original class.
+    """
+    err = result.get("error")
+    if err is not None:
+        err_cls = {"RetryExhaustedError": RetryExhaustedError,
+                   "WorkerLost": WorkerLost}.get(err["type"], CellFailure)
+        raise err_cls(err["message"], cell=err["cell"],
+                      attempts=err["attempts"], reason=err["reason"])
+    payload = result["measurement"]
+    m = measurement_from_dict(payload, default_precision=Precision.parse(
+        payload.get("precision", "fp64")))
+    trace = None
+    if result.get("events") is not None:
+        trace = Profiler()
+        for kind, name, duration_s, meta in result["events"]:
+            trace.record(EventKind(kind), name, duration_s, **meta)
+    return CellOutcome(m, executed_status(m), start_s, result["wall_s"],
+                       result["attempts"], result["faults"], trace=trace)

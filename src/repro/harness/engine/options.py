@@ -1,7 +1,7 @@
-"""Run options: the one immutable bag of knobs behind ``run_experiment``.
+"""Run options: the one immutable bag of knobs behind ``run_campaign``.
 
-Replaces the loose keyword arguments that used to thread through
-``runner.run_experiment`` and ``SweepEngine.run`` — cache toggles, job
+Replaces the loose keyword arguments that used to thread through the
+runner and ``SweepEngine.run`` — cache toggles, job
 counts, profilers, and (new with the fault layer) the retry policy and
 fault configuration all travel together in a frozen :class:`RunOptions`.
 
@@ -73,7 +73,7 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class RunOptions:
-    """Everything one ``run_experiment`` call may tune, in one place.
+    """Everything one ``run_campaign`` call may tune, in one place.
 
     Tri-state ``cache``/``jobs`` (``None`` = environment default) keep
     the zero-configuration path identical to passing no options at all.

@@ -1,7 +1,7 @@
 """Parent-side supervision policy for the process engine.
 
-The thread engine shares an address space with its workers, so a crash
-there *is* a crash of the run.  The process engine is different: a
+An inline cell shares the parent's address space, so a crash there
+*is* a crash of the run.  The process engine is different: a
 worker can vanish without unwinding — SIGKILL'd by the OOM killer, a
 segfault in a native extension, a ``kill -9`` from an operator — and
 ``concurrent.futures`` surfaces that as ``BrokenProcessPool`` on every

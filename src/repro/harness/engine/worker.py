@@ -11,8 +11,8 @@ subprocess.  The parent ships two frozen, picklable values:
   and the cell fingerprint.
 
 The worker re-derives everything locally — experiment, model, shape,
-fault injector, private profiler — runs the *same* retry loop as the
-thread engine (:func:`attempt_cell` is that loop, shared by both), writes
+fault injector, private profiler — runs the *same* retry loop as an
+inline cell (:func:`attempt_cell` is that loop, shared by both), writes
 its own cache entry (the concurrency-safe :class:`ResultCache` makes
 multi-process writers safe) and returns one plain dict: the measurement
 as its export payload, attempt/fault counts, wall time, whether its cache
@@ -26,7 +26,7 @@ writer, preserving WAL ordering and checksums.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 from ...chaos.plan import chaos_strike
@@ -39,12 +39,14 @@ from ...trace.events import EventKind
 from ...trace.profiler import Profiler
 from ..experiment import Experiment
 from ..export import measurement_to_dict
+from ..health import HealthRegistry, resolve_hop
 from ..results import Measurement
 from ..runner import run_measurement
 from .cache import ResultCache
 from .options import RetryPolicy, RunOptions
 
-__all__ = ["RunPayload", "CellTask", "attempt_cell", "execute_cell_payload"]
+__all__ = ["RunPayload", "CellTask", "attempt_cell", "serve_via_ladder",
+           "execute_cell_payload"]
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class CellTask:
     fingerprint: str
 
 
-# -- the retry loop (shared by the thread and process engines) -------------
+# -- the retry loop (shared by inline cells and pool workers) --------------
 
 def attempt_cell(model: ProgrammingModel, shape: MatrixShape,
                  experiment: Experiment, opts: RunOptions,
@@ -140,6 +142,65 @@ def attempt_cell(model: ProgrammingModel, shape: MatrixShape,
         if cell_prof is not None:
             cell_prof.record(EventKind.RETRY, f"backoff:{cell}", backoff,
                              attempt=attempts, next_attempt=attempts + 1)
+
+
+def serve_via_ladder(model: ProgrammingModel, shape: MatrixShape,
+                     experiment: Experiment, opts: RunOptions,
+                     injector: Optional[FaultInjector],
+                     cell_prof: Optional[Profiler],
+                     health: HealthRegistry, origin: str,
+                     native: Optional[Measurement],
+                     ) -> Tuple[Measurement, float]:
+    """Serve one cell of an OPEN lane via its fallback ladder.
+
+    Walks the declared hops in order, skipping hops that resolve back
+    to the origin or to a lane the registry currently tracks as OPEN.
+    Hop attempts run under the same retry policy but on a *disjoint*
+    fault stream (keyed by the serving lane) and never feed the
+    serving lane's own health — serving is borrowing, not probing.
+
+    Returns ``(measurement, serve_cost_s)``.  A served measurement keeps
+    the origin cell's model/display with full substitution provenance,
+    so Table III can price it honestly; when the ladder is exhausted it
+    is a failed cell that extends ``native``'s failure reason (``None``
+    when the lane was OPEN and no native attempt ran).
+    """
+    serve_cost = 0.0
+    tried = 0
+    cell = f"{model.name}@{shape}"
+    for hop in health.ladder.hops_for(origin):
+        serve_model, serve_device = resolve_hop(hop, experiment)
+        hop_spec = f"{serve_model.name}@{serve_device.value}"
+        if hop_spec == origin or health.is_open(hop_spec):
+            continue
+        serve_exp = (experiment if serve_device is experiment.device
+                     else replace(experiment, device=serve_device))
+        tried += 1
+        sm, _, _, s_spent = attempt_cell(
+            serve_model, shape, serve_exp, opts, injector, cell_prof,
+            lane=hop_spec)
+        serve_cost += s_spent
+        if sm.failed or not sm.supported:
+            continue
+        serve_cost += sum(sm.times_s)
+        if cell_prof is not None:
+            cell_prof.record(EventKind.SUBSTITUTION,
+                             f"{origin}->{hop_spec}:{cell}", serve_cost,
+                             hops=tried)
+        return (Measurement(
+            model=model.name, display=model.display, shape=shape,
+            precision=experiment.precision, times_s=sm.times_s,
+            warmup_count=sm.warmup_count, supported=True,
+            note=f"served by {hop_spec}; lane {origin} open",
+            bound=sm.bound, substituted_from=origin, served_by=hop_spec,
+            ladder_hops=tried), serve_cost)
+    reason = native.note if native is not None else f"lane {origin} open"
+    return (Measurement(
+        model=model.name, display=model.display, shape=shape,
+        precision=experiment.precision, supported=False, failed=True,
+        note=(f"{reason}; fallback ladder exhausted "
+              f"({tried} hop(s) tried)"),
+        substituted_from=origin, ladder_hops=tried), serve_cost)
 
 
 def failure_reason(fault: Fault, attempts: int, spent_s: float,

@@ -13,7 +13,7 @@ Record types, in the order a run writes them::
 
     run-open    manifest (experiment dict), campaign fingerprint,
                 resilience options, the planned cell list
-    cell-start  a cell began executing (its fingerprint is now in flight)
+    cell-start  a cell was executed (written just ahead of its outcome)
     cell-done   a cell completed; embeds the full measurement payload
                 (+ per-cell health metadata on breaker-enabled runs)
     cell-failed a cell permanently failed; embeds the degraded payload
@@ -202,7 +202,7 @@ class RunJournal:
 
     def cell_start(self, index: int, model: str, shape: str,
                    fingerprint: str) -> None:
-        """A cell is about to execute (write-ahead, before the work)."""
+        """A cell executed; its done/failed record follows."""
         self.append("cell-start", index=index, model=model, shape=shape,
                     fingerprint=fingerprint)
 

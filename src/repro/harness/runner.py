@@ -9,7 +9,6 @@ the nvprof-style summary shows everything that actually happened.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Optional
 
 from ..core.types import DeviceKind, MatrixShape
@@ -28,8 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..service.spec import CampaignSpec
     from .engine import RunOptions, SweepEngine
 
-__all__ = ["run_campaign", "run_experiment", "run_experiment_serial",
-           "run_measurement", "resolve_engine"]
+__all__ = ["run_campaign", "run_measurement", "resolve_engine"]
 
 
 def run_measurement(
@@ -128,36 +126,29 @@ def resolve_engine(engine: Optional[object], opts: "RunOptions",
 
     * a ready-made :class:`~repro.harness.engine.SweepEngine` passes
       through untouched;
-    * the legacy strings ``"parallel"`` / ``"serial"`` / ``"thread"`` /
-      ``"process"`` force that executor shape;
+    * the mode strings ``"serial"`` / ``"process"`` force that executor;
     * ``None`` with ``mode`` set (a :class:`CampaignSpec`'s ``engine``
       field) behaves like the matching string;
     * ``None`` with every engine knob unset (``mode``, ``opts.cache``,
       ``opts.jobs`` all ``None``) returns the process-wide default
       engine, keeping the zero-configuration path shared and warm.
     """
-    from .engine import SweepEngine, default_engine
+    from .engine import ENGINE_MODES, SweepEngine, default_engine
     if isinstance(engine, SweepEngine):
         return engine
-    if engine is None and mode is not None:
+    if engine is None:
         engine = mode
     if engine is None:
         if opts.cache is None and opts.jobs is None:
             return default_engine()
         return SweepEngine.from_env(cache_enabled=opts.cache,
                                     max_workers=opts.jobs)
-    if engine in ("parallel", "serial", "thread", "process"):
-        return SweepEngine.from_env(
-            cache_enabled=opts.cache,
-            parallel=(engine != "serial"),
-            max_workers=(1 if engine == "serial" else opts.jobs),
-            # "thread" pins the mode (CLI > env); the legacy "parallel"
-            # string keeps deferring to REPRO_ENGINE, as it always has.
-            mode=("process" if engine == "process"
-                  else "thread" if engine == "thread" else None))
+    if engine in ENGINE_MODES:
+        return SweepEngine.from_env(cache_enabled=opts.cache,
+                                    max_workers=opts.jobs, mode=engine)
     raise ConfigError(
-        f"engine must be None, 'parallel', 'serial', 'thread', 'process' "
-        f"or a SweepEngine, got {engine!r}")
+        f"engine must be None, {', '.join(map(repr, ENGINE_MODES))} or a "
+        f"SweepEngine, got {engine!r}")
 
 
 def run_campaign(spec: "CampaignSpec",
@@ -166,8 +157,8 @@ def run_campaign(spec: "CampaignSpec",
                  *, options: Optional["RunOptions"] = None) -> ResultSet:
     """The one entrypoint: run every cell a :class:`CampaignSpec` asks for.
 
-    Delegates to :mod:`repro.harness.engine`: cells fan out over the
-    selected executor and hit the persistent result cache, with a
+    Delegates to :mod:`repro.harness.engine`: cells run on the selected
+    executor and hit the persistent result cache, with a
     deterministic merge that makes the output bit-identical to a serial
     reference loop.
 
@@ -181,55 +172,11 @@ def run_campaign(spec: "CampaignSpec",
       spec cannot express (a journal, a replay map — the resume path)
       pass it here.
     * ``engine`` overrides the spec's executor selection (instance or
-      legacy string); ``None`` resolves it from ``spec.engine`` /
+      mode string); ``None`` resolves it from ``spec.engine`` /
       ``opts.cache`` / ``opts.jobs`` via :func:`resolve_engine`.
     * ``profiler`` is a convenience shorthand for
       ``options.with_profiler(profiler)``.
     """
-    opts = spec.run_options(base=options)
-    opts = opts.with_profiler(profiler)
+    opts = spec.run_options(base=options).with_profiler(profiler)
     eng = resolve_engine(engine, opts, mode=spec.engine)
     return eng.run(spec.experiment, options=opts)
-
-
-def run_experiment(experiment: Experiment,
-                   profiler: Optional[Profiler] = None,
-                   engine: Optional[object] = None,
-                   *, options: Optional["RunOptions"] = None) -> ResultSet:
-    """Deprecated shim: run one experiment through the campaign API.
-
-    Historically the package's entrypoint; superseded by
-    :func:`run_campaign`, which takes the one serializable
-    :class:`~repro.service.spec.CampaignSpec` request object shared with
-    the campaign service and the journal.  The keyword surface and
-    semantics are unchanged — this delegates to
-    ``run_campaign(CampaignSpec(experiment=experiment), ...)`` — so
-    existing callers keep working while they migrate.
-    """
-    warnings.warn(
-        "run_experiment() is deprecated; build a CampaignSpec and call "
-        "run_campaign(spec) instead (see repro.config.resolve_campaign_spec)",
-        DeprecationWarning, stacklevel=2)
-    from ..service.spec import CampaignSpec
-    return run_campaign(CampaignSpec(experiment=experiment),
-                        profiler=profiler, engine=engine, options=options)
-
-
-def run_experiment_serial(experiment: Experiment,
-                          profiler: Optional[Profiler] = None) -> ResultSet:
-    """Deprecated shim: serial, cache-less sweep through the unified API.
-
-    Historically the hand-rolled reference loop; now a thin wrapper over
-    ``run_campaign`` with a serial, cache-less spec, kept only for
-    backwards compatibility.  Call :func:`run_campaign` instead.
-    """
-    warnings.warn(
-        "run_experiment_serial() is deprecated; use "
-        "run_campaign(CampaignSpec(experiment=experiment, engine=\"serial\", "
-        "cache=False)) instead",
-        DeprecationWarning, stacklevel=2)
-    from ..service.spec import CampaignSpec
-    from .engine import RunOptions
-    return run_campaign(CampaignSpec(experiment=experiment, engine="serial",
-                                     cache=False),
-                        options=RunOptions(profiler=profiler))

@@ -40,13 +40,12 @@ from typing import Any, Dict, List, Optional
 from ..chaos.plan import chaos_strike
 from ..errors import JournalError, OverloadError, ServiceError
 from ..harness.engine.cache import ResultCache
-from ..harness.engine.fingerprint import campaign_fingerprint, cell_fingerprint
+from ..harness.engine.cell import CellPlan
 from ..harness.engine.options import RunOptions
 from ..harness.experiment import Experiment
-from ..harness.health import BreakerPolicy, FallbackLadder, LaneHealth
+from ..harness.health import BreakerPolicy, LaneHealth
 from ..harness.journal import RunRegistry
 from ..harness.results import ResultSet
-from ..models.registry import model_by_name
 from .campaign import Campaign, CampaignExecution
 from .scheduler import AdmissionPolicy, FairShareScheduler, OverloadPolicy
 from .spec import CampaignSpec, spec_from_dict, spec_to_dict
@@ -235,30 +234,11 @@ class CampaignService:
             return self.overload.retry_after_s(self.scheduler.backlog)
 
     def _open_journal(self, journal, spec: CampaignSpec) -> None:
-        # The run-open record must be byte-compatible with what a
-        # dedicated engine run would write: resume and fsck read it with
+        # The run-open record is the one a dedicated engine run would
+        # write (the same plan writes it): resume and fsck read it with
         # the same loaders either way.
-        experiment = spec.experiment
-        opts = spec.run_options(base=self._options)
-        cells = [(model_by_name(name), shape)
-                 for name in experiment.models
-                 for shape in experiment.shapes()]
-        fingerprints = [cell_fingerprint(experiment, model.name, shape,
-                                         faults=opts.faults)
-                        for model, shape in cells]
-        effective = opts.fallback
-        if opts.breaker.enabled and effective is None:
-            effective = FallbackLadder.default_for(experiment)
-        journal.open_run(
-            manifest=experiment.to_dict(),
-            campaign=campaign_fingerprint(
-                experiment, opts.faults, breaker=opts.breaker,
-                fallback=effective if opts.breaker.enabled else None),
-            options=opts.payload(),
-            cells=[{"index": i, "model": model.name, "shape": str(shape),
-                    "fingerprint": fingerprints[i]}
-                   for i, (model, shape) in enumerate(cells)],
-        )
+        CellPlan.build(spec.experiment, spec.run_options(base=self._options),
+                       cache=None).open_run(journal)
 
     # -- recovery -----------------------------------------------------------
 

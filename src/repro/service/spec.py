@@ -30,6 +30,11 @@ Schema history:
   of a duplicate).  Both are sparse, so every v1 document loads
   unchanged with the fields unset — and neither ever enters cell or
   campaign fingerprints, so result bytes cannot depend on them.
+
+Documents of either version may name ``"engine": "thread"``, an
+executor that no longer exists; they load as ``"serial"``.  The engine
+never enters a fingerprint, so a daemon recovering such a journal
+resumes the same campaign.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from typing import Any, Dict, Optional
 
 from ..errors import ConfigError
 from ..harness.experiment import Experiment
+from ..harness.engine.executor import ENGINE_MODES
 from ..harness.engine.options import RetryPolicy, RunOptions
 from ..harness.health import BreakerPolicy, FallbackLadder
 from ..sim.faults import FaultConfig, FaultKind
@@ -60,9 +66,6 @@ SPEC_VERSION = 2
 #: Spec versions :func:`spec_from_dict` can load.
 SUPPORTED_SPEC_VERSIONS = (1, 2)
 
-#: Engine modes a spec may name (``None`` = process default).
-_ENGINE_CHOICES = ("serial", "thread", "process")
-
 
 @dataclass(frozen=True)
 class CampaignSpec:
@@ -71,7 +74,7 @@ class CampaignSpec:
     ``None`` fields mean "inherit the process default" — the same
     tri-state convention :class:`~repro.harness.engine.RunOptions` uses
     for cache/jobs — so a bare ``CampaignSpec(experiment=exp)`` behaves
-    exactly like the historical ``run_experiment(exp)`` call.
+    exactly like a run with no flags and no environment overrides.
 
     * ``engine``/``jobs``/``cache`` — executor selection;
     * ``faults``/``retry``/``fail_fast``/``breaker``/``fallback`` — the
@@ -102,9 +105,9 @@ class CampaignSpec:
     submission_key: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.engine is not None and self.engine not in _ENGINE_CHOICES:
+        if self.engine is not None and self.engine not in ENGINE_MODES:
             raise ConfigError(
-                f"engine must be one of {'/'.join(_ENGINE_CHOICES)} or "
+                f"engine must be one of {'/'.join(ENGINE_MODES)} or "
                 f"None, got {self.engine!r}")
         if self.jobs is not None and self.jobs < 1:
             raise ConfigError(f"jobs {self.jobs} < 1")
@@ -248,7 +251,7 @@ def spec_from_dict(data: Dict[str, Any]) -> CampaignSpec:
     loads with the v2 fields (``deadline_s``, ``submission_key``)
     unset, and a document from a *newer* build is refused with a
     :class:`ConfigError` rather than loaded with fields silently
-    dropped.
+    dropped.  The retired ``"thread"`` engine loads as ``"serial"``.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"campaign spec must be a JSON object, "
@@ -266,6 +269,9 @@ def spec_from_dict(data: Dict[str, Any]) -> CampaignSpec:
         raise ConfigError(f"campaign spec experiment is invalid: {exc}") \
             from exc
     jobs = data.get("jobs")
+    engine = data.get("engine")
+    if engine == "thread":
+        engine = "serial"
     priority = data.get("priority", 0)
     try:
         priority = int(priority)
@@ -273,7 +279,7 @@ def spec_from_dict(data: Dict[str, Any]) -> CampaignSpec:
         raise ConfigError(f"priority {priority!r} must be an int") from exc
     return CampaignSpec(
         experiment=experiment,
-        engine=data.get("engine"),
+        engine=engine,
         jobs=int(jobs) if jobs is not None else None,
         cache=(bool(data["cache"]) if "cache" in data else None),
         faults=(_faults_from_payload(data["faults"])

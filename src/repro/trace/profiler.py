@@ -44,7 +44,7 @@ class Profiler:
         """Append a span at an explicit start time.
 
         For externally-timed spans — e.g. the sweep engine's wall-clock
-        cell records, which overlap under the thread-pool fan-out — where
+        cell records, which overlap under the process-pool fan-out — where
         the append-at-now contract of :meth:`record` would stack
         concurrent spans end to end.  The clock never moves backwards: it
         advances to the span's end if that lies beyond it.

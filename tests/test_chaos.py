@@ -54,7 +54,7 @@ def small_exp(**kw):
 
 
 def serial_baseline(exp):
-    return SweepEngine(cache=None, parallel=False).run(exp)
+    return SweepEngine(cache=None).run(exp)
 
 
 def arm_plan(monkeypatch, tmp_path, *events):
@@ -67,7 +67,7 @@ def arm_plan(monkeypatch, tmp_path, *events):
 def process_engine(cache=None, workers=2):
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("fork start method unavailable")
-    return SweepEngine(cache=cache, parallel=True, max_workers=workers,
+    return SweepEngine(cache=cache, max_workers=workers,
                        mode="process")
 
 
@@ -238,7 +238,7 @@ class TestCacheDiskPressure:
         cache = ResultCache(str(tmp_path / "cache"))
         arm_plan(monkeypatch, tmp_path,
                  ChaosEvent("cache-put", "enospc", count=1_000_000))
-        results = SweepEngine(cache=cache, parallel=False).run(exp)
+        results = SweepEngine(cache=cache).run(exp)
         assert render_result_set(results) == baseline
         assert cache.read_only
         snap = cache.pressure_snapshot()

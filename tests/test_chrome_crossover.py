@@ -6,8 +6,9 @@ import pytest
 
 from repro.core.types import DeviceKind, Precision
 from repro.errors import ExperimentError
-from repro.harness import Experiment, device_crossover, run_experiment
+from repro.harness import Experiment, device_crossover, run_campaign
 from repro.machine import CRUSHER, WOMBAT
+from repro.service import CampaignSpec
 from repro.trace import EventKind, Profiler, chrome_trace_json, to_chrome_trace
 
 
@@ -50,7 +51,7 @@ class TestChromeTrace:
             device=DeviceKind.GPU, precision=Precision.FP64,
             models=("cuda",), sizes=(512,), reps=3)
         prof = Profiler()
-        run_experiment(exp, profiler=prof)
+        run_campaign(CampaignSpec(experiment=exp), profiler=prof)
         doc = json.loads(chrome_trace_json(prof.events))
         cats = {e.get("cat") for e in doc["traceEvents"]}
         assert {"kernel", "memcpy-h2d", "memcpy-d2h"} <= cats

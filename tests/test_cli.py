@@ -20,6 +20,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig", "9"])
 
+    def test_engine_choices(self, capsys):
+        args = build_parser().parse_args(["run", "--engine", "serial"])
+        assert args.engine == "serial"
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "--engine", "thread"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'serial'" in err and "'process'" in err
+
 
 class TestCommands:
     def test_machines(self, capsys):

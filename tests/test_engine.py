@@ -1,6 +1,6 @@
-"""Tests for the sweep execution engine: concurrency, caching, determinism.
+"""Tests for the sweep execution engine: execution paths, caching, determinism.
 
-The engine's contract is bit-identity: parallel == serial, warm == cold,
+The engine's contract is bit-identity: process == serial, warm == cold,
 traced == untraced.  Every test here pins some face of that contract.
 """
 
@@ -13,10 +13,7 @@ import pytest
 
 from repro.core.types import DeviceKind, Precision
 from repro.errors import ConfigError, RetryExhaustedError
-from repro.harness import (
-    Experiment,
-    run_experiment,
-)
+from repro.harness import Experiment, run_campaign
 from repro.harness.export import result_set_to_json
 from repro.harness.engine import (
     CONSTANTS_VERSION,
@@ -27,6 +24,7 @@ from repro.harness.engine import (
     default_engine,
     reset_default_engine,
 )
+from repro.service import CampaignSpec
 from repro.sim.variability import VariabilityModel
 from repro.trace.events import EventKind
 from repro.trace.profiler import Profiler
@@ -73,15 +71,15 @@ def fresh_default_engine(tmp_path, monkeypatch):
 class TestDeterminism:
     def test_parallel_matches_serial_bit_for_bit(self):
         exp = small_exp()
-        engine = SweepEngine(cache=None, parallel=True, max_workers=8)
+        engine = SweepEngine(cache=None, max_workers=2, mode="process")
         parallel = engine.run(exp)
-        serial = run_experiment(exp, engine="serial",
+        serial = run_campaign(CampaignSpec(experiment=exp), engine="serial",
                                 options=RunOptions(cache=False))
         assert parallel.measurements == serial.measurements
 
     def test_cold_and_warm_cache_bit_identical(self, cache):
         exp = small_exp()
-        engine = SweepEngine(cache=cache, parallel=True)
+        engine = SweepEngine(cache=cache)
         cold = engine.run(exp)
         assert engine.last_report.executed_cells == len(cold.measurements)
         warm = engine.run(exp)
@@ -90,7 +88,7 @@ class TestDeterminism:
 
     def test_warm_run_touches_no_simulator_code(self, cache, monkeypatch):
         exp = small_exp()
-        engine = SweepEngine(cache=cache, parallel=False)
+        engine = SweepEngine(cache=cache)
         engine.run(exp)
 
         def boom(*args, **kwargs):  # pragma: no cover - must not run
@@ -104,7 +102,7 @@ class TestDeterminism:
     def test_rendered_output_identical_cold_vs_warm(self, cache):
         from repro.harness.report import render_result_set
         exp = small_exp()
-        engine = SweepEngine(cache=cache, parallel=True)
+        engine = SweepEngine(cache=cache)
         cold = render_result_set(engine.run(exp))
         warm = render_result_set(engine.run(exp))
         assert cold == warm
@@ -112,16 +110,16 @@ class TestDeterminism:
     def test_traced_parallel_timeline_matches_serial(self):
         exp = small_exp(models=("numba", "julia"))
         serial_prof = Profiler()
-        run_experiment(exp, engine="serial",
+        run_campaign(CampaignSpec(experiment=exp), engine="serial",
                        options=RunOptions(cache=False, profiler=serial_prof))
         engine_prof = Profiler()
-        SweepEngine(cache=None, parallel=True, max_workers=4).run(
+        SweepEngine(cache=None, max_workers=2, mode="process").run(
             exp, profiler=engine_prof)
         assert engine_prof.events == serial_prof.events
 
     def test_trace_bypasses_cache_reads(self, cache):
         exp = small_exp(models=("numba",), sizes=(256,))
-        engine = SweepEngine(cache=cache, parallel=False)
+        engine = SweepEngine(cache=cache)
         engine.run(exp)  # warm the cache
         prof = Profiler()
         engine.run(exp, profiler=prof)
@@ -135,7 +133,7 @@ class TestDeterminism:
         assert short == long[:4]
 
     def test_measurement_prefix_stable_when_reps_grow(self, cache):
-        engine = SweepEngine(cache=cache, parallel=True)
+        engine = SweepEngine(cache=cache)
         few = engine.run(small_exp(reps=5)).measurements[0]
         many = engine.run(small_exp(reps=10)).measurements[0]
         assert few.times_s == many.times_s[:len(few.times_s)]
@@ -177,7 +175,7 @@ class TestFingerprint:
 class TestCache:
     def test_counters(self, cache):
         exp = small_exp()
-        engine = SweepEngine(cache=cache, parallel=False)
+        engine = SweepEngine(cache=cache)
         engine.run(exp)
         snap = cache.stats.snapshot()
         assert snap["misses"] == 4 and snap["stores"] == 4
@@ -185,7 +183,7 @@ class TestCache:
         assert cache.stats.snapshot()["hits"] == 4
 
     def test_disk_stats_and_clear(self, cache):
-        engine = SweepEngine(cache=cache, parallel=False)
+        engine = SweepEngine(cache=cache)
         engine.run(small_exp())
         disk = cache.disk_stats()
         assert disk["entries"] == 4 and disk["bytes"] > 0
@@ -195,7 +193,7 @@ class TestCache:
 
     def test_stale_constants_version_evicts(self, cache):
         exp = small_exp(models=("c-openmp",), sizes=(256,))
-        engine = SweepEngine(cache=cache, parallel=False)
+        engine = SweepEngine(cache=cache)
         engine.run(exp)
         (path,) = list(cache._entry_paths())
         with open(path) as fh:
@@ -210,7 +208,7 @@ class TestCache:
         assert not os.path.exists(path)
 
     def test_corrupt_entry_evicts(self, cache):
-        engine = SweepEngine(cache=cache, parallel=False)
+        engine = SweepEngine(cache=cache)
         exp = small_exp(models=("c-openmp",), sizes=(256,))
         engine.run(exp)
         (path,) = list(cache._entry_paths())
@@ -225,14 +223,14 @@ class TestCache:
             exp_id="eng-gpu", title="t", node_name="Crusher",
             device=DeviceKind.GPU, precision=Precision.FP64,
             models=("numba",), sizes=(256,))
-        engine = SweepEngine(cache=cache, parallel=False)
+        engine = SweepEngine(cache=cache)
         cold = engine.run(exp)
         warm = engine.run(exp)
         assert not warm.measurements[0].supported
         assert cold.measurements == warm.measurements
 
     def test_cacheless_engine_runs(self):
-        engine = SweepEngine(cache=None, parallel=True)
+        engine = SweepEngine(cache=None)
         rs = engine.run(small_exp())
         assert len(rs.measurements) == 4
         assert engine.last_report.cache_stats == {}
@@ -246,7 +244,7 @@ class TestConcurrentCacheWriters:
 
     def _seed(self, cache):
         exp = small_exp(models=("julia",), sizes=(256,))
-        SweepEngine(cache=cache, parallel=False).run(exp)
+        SweepEngine(cache=cache).run(exp)
         fp = cell_fingerprint(exp, "julia", exp.shapes()[0])
         (path,) = list(cache._entry_paths())
         with open(path) as fh:
@@ -316,7 +314,7 @@ class TestProcessEngine:
     def _engine(self, cache=None, workers=2):
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("fork start method unavailable")
-        return SweepEngine(cache=cache, parallel=True, max_workers=workers,
+        return SweepEngine(cache=cache, max_workers=workers,
                            mode="process")
 
     def test_invalid_mode_rejected(self):
@@ -326,7 +324,7 @@ class TestProcessEngine:
     def test_matches_serial_bit_for_bit(self):
         exp = small_exp()
         proc = self._engine().run(exp)
-        serial = run_experiment(exp, engine="serial",
+        serial = run_campaign(CampaignSpec(experiment=exp), engine="serial",
                                 options=RunOptions(cache=False))
         assert proc.measurements == serial.measurements
 
@@ -334,7 +332,7 @@ class TestProcessEngine:
         exp = small_exp(models=("numba", "julia"))
         proc = result_set_to_json(self._engine().run(exp))
         serial = result_set_to_json(
-            run_experiment(exp, engine="serial",
+            run_campaign(CampaignSpec(experiment=exp), engine="serial",
                            options=RunOptions(cache=False)))
         assert proc == serial
 
@@ -345,7 +343,7 @@ class TestProcessEngine:
                           retry=RetryPolicy(max_attempts=3))
         exp = small_exp()
         proc = result_set_to_json(self._engine().run(exp, options=opts))
-        serial = run_experiment(exp, engine="serial",
+        serial = run_campaign(CampaignSpec(experiment=exp), engine="serial",
                                 options=RunOptions(
                                     cache=False, faults=opts.faults,
                                     retry=opts.retry))
@@ -354,7 +352,7 @@ class TestProcessEngine:
     def test_traced_timeline_matches_serial(self):
         exp = small_exp(models=("numba", "julia"))
         serial_prof = Profiler()
-        run_experiment(exp, engine="serial",
+        run_campaign(CampaignSpec(experiment=exp), engine="serial",
                        options=RunOptions(cache=False,
                                           profiler=serial_prof))
         proc_prof = Profiler()
@@ -373,7 +371,7 @@ class TestProcessEngine:
                               fail_fast=True)
 
         with pytest.raises(RetryExhaustedError) as serial_exc:
-            run_experiment(exp, engine="serial", options=opts())
+            run_campaign(CampaignSpec(experiment=exp), engine="serial", options=opts())
         # the worker ships the failure as a structured dict; the parent
         # must re-raise the exact class with the exact message
         with pytest.raises(RetryExhaustedError) as proc_exc:
@@ -402,7 +400,7 @@ class TestProcessEngine:
 
 class TestObservability:
     def test_report_cells_and_timings(self, cache):
-        engine = SweepEngine(cache=cache, parallel=True)
+        engine = SweepEngine(cache=cache)
         engine.run(small_exp())
         report = engine.last_report
         assert len(report.cells) == 4
@@ -413,7 +411,7 @@ class TestObservability:
         assert engine.last_report.cached_cells == 4
 
     def test_report_timeline_uses_trace_events(self, cache):
-        engine = SweepEngine(cache=cache, parallel=False)
+        engine = SweepEngine(cache=cache)
         engine.run(small_exp())
         prof = engine.last_report.timeline()
         assert prof.count(EventKind.CACHE_MISS) == 4
@@ -422,7 +420,7 @@ class TestObservability:
         assert engine.last_report.timeline().count(EventKind.CACHE_HIT) == 4
 
     def test_report_render(self, cache):
-        engine = SweepEngine(cache=cache, parallel=False)
+        engine = SweepEngine(cache=cache)
         engine.run(small_exp())
         out = engine.last_report.render()
         assert "4 cells" in out and "[sim]" in out
@@ -445,11 +443,17 @@ class TestEnvironmentConfig:
         monkeypatch.setenv("REPRO_ENGINE", "process")
         engine = SweepEngine.from_env()
         assert engine.mode == "process"
-        assert SweepEngine.from_env(mode="thread").mode == "thread"
+        assert SweepEngine.from_env(mode="serial").mode == "serial"
 
-    def test_engine_mode_default_is_thread(self, monkeypatch):
+    def test_engine_mode_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert SweepEngine.from_env().mode == "thread"
+        engine = SweepEngine.from_env()
+        assert engine.mode == "serial" and engine.parallel is False
+
+    def test_retired_thread_mode_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "thread")
+        with pytest.raises(ConfigError, match="serial/process"):
+            SweepEngine.from_env()
 
     def test_engine_mode_invalid_env_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "quantum")
@@ -466,7 +470,7 @@ class TestEnvironmentConfig:
 
     def test_run_experiment_uses_default_engine(self, fresh_default_engine):
         exp = small_exp(models=("c-openmp",), sizes=(256,))
-        run_experiment(exp)
+        run_campaign(CampaignSpec(experiment=exp))
         assert fresh_default_engine.last_report is not None
         assert fresh_default_engine.last_report.experiment_id == "eng-cpu"
 
@@ -476,7 +480,7 @@ class TestWarmSpeedup:
         """The acceptance bar: warm >= 5x cold, output bit-identical."""
         exp = small_exp(models=("c-openmp", "kokkos", "julia", "numba"),
                         sizes=(512, 1024, 2048))
-        engine = SweepEngine(cache=cache, parallel=False)
+        engine = SweepEngine(cache=cache)
         t0 = time.perf_counter()
         cold = engine.run(exp)
         t_cold = time.perf_counter() - t0

@@ -9,7 +9,7 @@ from repro.errors import ExperimentError
 from repro.harness import (
     Experiment,
     ResultSet,
-    run_experiment,
+    run_campaign,
     run_measurement,
 )
 from repro.harness.export import (
@@ -23,6 +23,7 @@ from repro.harness.export import (
     result_set_to_json,
 )
 from repro.models import model_by_name
+from repro.service import CampaignSpec
 
 
 def cpu_exp(**kw):
@@ -37,13 +38,13 @@ def cpu_exp(**kw):
 
 class TestRoundTrip:
     def test_dict_round_trip_reconstructs_everything(self):
-        rs = run_experiment(cpu_exp())
+        rs = run_campaign(CampaignSpec(experiment=cpu_exp()))
         loaded = result_set_from_dict(result_set_to_dict(rs))
         assert loaded.experiment == rs.experiment
         assert loaded.measurements == rs.measurements
 
     def test_json_round_trip_is_byte_identical(self):
-        rs = run_experiment(cpu_exp())
+        rs = run_campaign(CampaignSpec(experiment=cpu_exp()))
         text = result_set_to_json(rs)
         assert result_set_to_json(result_set_from_json(text)) == text
 
@@ -52,7 +53,7 @@ class TestRoundTrip:
             exp_id="exp-rt-gpu", title="t", node_name="Crusher",
             device=DeviceKind.GPU, precision=Precision.FP64,
             models=("hip", "numba"), sizes=(512,))
-        rs = run_experiment(exp)
+        rs = run_campaign(CampaignSpec(experiment=exp))
         loaded = result_set_from_json(result_set_to_json(rs))
         assert loaded.measurements == rs.measurements
         numba = loaded.cell("numba", 512)
@@ -87,20 +88,20 @@ class TestRoundTrip:
             exp_id="exp-rt-tx", title="t", node_name="Wombat",
             device=DeviceKind.GPU, precision=Precision.FP64,
             models=("cuda",), sizes=(512,), include_transfers=True)
-        loaded = result_set_from_dict(result_set_to_dict(run_experiment(exp)))
+        loaded = result_set_from_dict(result_set_to_dict(run_campaign(CampaignSpec(experiment=exp))))
         assert loaded.experiment.include_transfers is True
 
 
 class TestMeasurementDict:
     def test_schema_fields_present(self):
-        rs = run_experiment(cpu_exp(models=("julia",), sizes=(256,)))
+        rs = run_campaign(CampaignSpec(experiment=cpu_exp(models=("julia",), sizes=(256,))))
         data = measurement_to_dict(rs.measurements[0])
         assert data["precision"] == "fp64"
         assert data["shape"] == {"m": 256, "n": 256, "k": 256}
         assert data["size"] == 256  # v1 compatibility field
 
     def test_round_trip_single_measurement(self):
-        rs = run_experiment(cpu_exp(models=("julia",), sizes=(256,)))
+        rs = run_campaign(CampaignSpec(experiment=cpu_exp(models=("julia",), sizes=(256,))))
         m = rs.measurements[0]
         assert measurement_from_dict(measurement_to_dict(m)) == m
 
@@ -158,5 +159,5 @@ class TestCsv:
         assert fields[-1] == "ok"
 
     def test_current_schema_version_exported(self):
-        rs = run_experiment(cpu_exp(models=("julia",), sizes=(256,)))
+        rs = run_campaign(CampaignSpec(experiment=cpu_exp(models=("julia",), sizes=(256,))))
         assert json.loads(result_set_to_json(rs))["schema"] == SCHEMA_VERSION == 4

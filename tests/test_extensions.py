@@ -15,7 +15,7 @@ from repro.harness import (
     result_set_to_dict,
     result_set_to_json,
     roofline_view,
-    run_experiment,
+    run_campaign,
     table3_to_dict,
     thread_scaling,
 )
@@ -27,6 +27,7 @@ from repro.models import (
     all_models,
 )
 from repro.sched.affinity import PinPolicy
+from repro.service import CampaignSpec
 
 
 class TestExtensionRegistry:
@@ -69,7 +70,7 @@ class TestPyOMP:
             exp_id="pyomp-vs-numba", title="t", node_name="Crusher",
             device=DeviceKind.CPU, precision=Precision.FP64,
             models=("numba", "pyomp"), sizes=(2048,), threads=64, reps=5)
-        rs = run_experiment(exp)
+        rs = run_campaign(CampaignSpec(experiment=exp))
         ratio = rs.cell("pyomp", 2048).gflops / rs.cell("numba", 2048).gflops
         assert ratio == pytest.approx(1.30, abs=0.06)
 
@@ -209,7 +210,7 @@ class TestExport:
             exp_id="exp-export", title="t", node_name="Wombat",
             device=DeviceKind.GPU, precision=Precision.FP32,
             models=("cuda", "numba"), sizes=(512, 1024), reps=5)
-        return run_experiment(exp)
+        return run_campaign(CampaignSpec(experiment=exp))
 
     def test_json_roundtrip(self):
         rs = self._rs()
@@ -226,7 +227,7 @@ class TestExport:
             exp_id="x", title="t", node_name="Crusher",
             device=DeviceKind.GPU, precision=Precision.FP64,
             models=("numba",), sizes=(512,))
-        data = result_set_to_dict(run_experiment(exp))
+        data = result_set_to_dict(run_campaign(CampaignSpec(experiment=exp)))
         (m,) = data["measurements"]
         assert m["supported"] is False and m["gflops"] is None
 
@@ -253,8 +254,8 @@ class TestTransfersMode:
             exp_id="tx", title="t", node_name="Wombat",
             device=DeviceKind.GPU, precision=Precision.FP64,
             models=("cuda",), sizes=(512,), reps=5, include_transfers=True)
-        t_base = run_experiment(base).cell("cuda", 512).seconds
-        t_e2e = run_experiment(e2e).cell("cuda", 512).seconds
+        t_base = run_campaign(CampaignSpec(experiment=base)).cell("cuda", 512).seconds
+        t_e2e = run_campaign(CampaignSpec(experiment=e2e)).cell("cuda", 512).seconds
         assert t_e2e > 1.5 * t_base
 
     def test_transfer_bound_label_at_tiny_sizes(self):
@@ -264,7 +265,7 @@ class TestTransfersMode:
             exp_id="tx-tiny", title="t", node_name="Wombat",
             device=DeviceKind.GPU, precision=Precision.FP64,
             models=("cuda",), sizes=(128,), reps=3, include_transfers=True)
-        assert run_experiment(exp).cell("cuda", 128).bound == "transfer"
+        assert run_campaign(CampaignSpec(experiment=exp)).cell("cuda", 128).bound == "transfer"
 
     def test_transfers_negligible_at_large_sizes(self):
         """O(n^2) transfers vs O(n^3) compute: the end-to-end mode matters
@@ -278,8 +279,8 @@ class TestTransfersMode:
                 exp_id=f"e{n}", title="t", node_name="Wombat",
                 device=DeviceKind.GPU, precision=Precision.FP64,
                 models=("cuda",), sizes=(n,), reps=3, include_transfers=True)
-            tb = run_experiment(base).cell("cuda", n).seconds
-            te = run_experiment(e2e).cell("cuda", n).seconds
+            tb = run_campaign(CampaignSpec(experiment=base)).cell("cuda", n).seconds
+            te = run_campaign(CampaignSpec(experiment=e2e)).cell("cuda", n).seconds
             return te / tb
         assert overhead(8192) < overhead(512)
 

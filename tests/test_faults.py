@@ -9,21 +9,16 @@ The contracts pinned here:
   sweep, unless ``fail_fast`` asks for the abort;
 * hygiene — failed cells never enter the result cache, and fault-enabled
   runs fingerprint their cells apart from clean runs;
-* the unified ``run_experiment`` entrypoint and its deprecation shim.
+* the unified ``run_campaign`` entrypoint.
 """
 
 import json
-import warnings
 
 import pytest
 
 from repro.core.types import DeviceKind, MatrixShape, Precision
 from repro.errors import CellFailure, ConfigError, RetryExhaustedError
-from repro.harness import (
-    Experiment,
-    run_experiment,
-    run_experiment_serial,
-)
+from repro.harness import Experiment, run_campaign
 from repro.harness.engine import (
     ResultCache,
     RetryPolicy,
@@ -39,6 +34,7 @@ from repro.harness.export import (
     result_set_to_json,
 )
 from repro.harness.report import render_result_set
+from repro.service import CampaignSpec
 from repro.sim.faults import (
     FAULT_COSTS,
     FaultConfig,
@@ -185,8 +181,8 @@ class TestFaultInjector:
 class TestEngineResilience:
     def test_recovered_run_byte_identical_to_fault_free(self):
         exp = small_exp()
-        clean = run_experiment(exp, options=run_opts())
-        noisy = run_experiment(exp, options=run_opts(
+        clean = run_campaign(CampaignSpec(experiment=exp), options=run_opts())
+        noisy = run_campaign(CampaignSpec(experiment=exp), options=run_opts(
             faults=FaultConfig(rate=0.4, seed=0),
             retry=RetryPolicy(max_attempts=8)))
         assert result_set_to_json(noisy) == result_set_to_json(clean)
@@ -195,9 +191,9 @@ class TestEngineResilience:
         exp = small_exp()
         opts = run_opts(faults=FaultConfig(rate=0.4, seed=0),
                         retry=RetryPolicy(max_attempts=8))
-        eng1 = SweepEngine(cache=None, parallel=False)
+        eng1 = SweepEngine(cache=None)
         eng1.run(exp, options=opts)
-        eng2 = SweepEngine(cache=None, parallel=True, max_workers=8)
+        eng2 = SweepEngine(cache=None, max_workers=2, mode="process")
         eng2.run(exp, options=opts)
         by_cell1 = {(c.model, c.shape): (c.attempts, c.faults)
                     for c in eng1.last_report.cells}
@@ -208,7 +204,7 @@ class TestEngineResilience:
 
     def test_permanent_failure_degrades_not_raises(self):
         exp = small_exp()
-        rs = run_experiment(exp, options=run_opts(
+        rs = run_campaign(CampaignSpec(experiment=exp), options=run_opts(
             faults=FaultConfig(always=("julia@512",))))
         assert rs.degraded
         [bad] = rs.failed_cells()
@@ -222,7 +218,7 @@ class TestEngineResilience:
 
     def test_retry_exhaustion_fails_cell(self):
         exp = small_exp(models=("julia",), sizes=(256,))
-        rs = run_experiment(exp, options=run_opts(
+        rs = run_campaign(CampaignSpec(experiment=exp), options=run_opts(
             faults=FaultConfig(rate=0.999999, seed=1),
             retry=RetryPolicy(max_attempts=3)))
         [bad] = rs.failed_cells()
@@ -232,7 +228,7 @@ class TestEngineResilience:
         exp = small_exp(models=("julia",), sizes=(256,))
         # every attempt times out (30 s simulated) against a 10 s budget:
         # the first fault alone exceeds it
-        rs = run_experiment(exp, options=run_opts(
+        rs = run_campaign(CampaignSpec(experiment=exp), options=run_opts(
             faults=FaultConfig(rate=0.999999, seed=1,
                                kinds=(FaultKind.TIMEOUT,)),
             retry=RetryPolicy(max_attempts=100, max_cell_seconds=10.0)))
@@ -242,19 +238,19 @@ class TestEngineResilience:
     def test_fail_fast_raises_cell_failure(self):
         exp = small_exp()
         with pytest.raises(CellFailure):
-            run_experiment(exp, options=run_opts(
+            run_campaign(CampaignSpec(experiment=exp), options=run_opts(
                 faults=FaultConfig(always=("julia@512",)), fail_fast=True))
 
     def test_fail_fast_retry_exhaustion_raises_sharper_error(self):
         exp = small_exp(models=("julia",), sizes=(256,))
         with pytest.raises(RetryExhaustedError):
-            run_experiment(exp, options=run_opts(
+            run_campaign(CampaignSpec(experiment=exp), options=run_opts(
                 faults=FaultConfig(rate=0.999999, seed=1),
                 retry=RetryPolicy(max_attempts=2), fail_fast=True))
 
     def test_failed_cells_never_cached(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
-        engine = SweepEngine(cache=cache, parallel=False)
+        engine = SweepEngine(cache=cache)
         exp = small_exp()
         opts = RunOptions(faults=FaultConfig(always=("julia@512",)))
         engine.run(exp, options=opts)
@@ -283,8 +279,8 @@ class TestEngineResilience:
         # the fault streams are disjoint from the variability streams, so
         # a cell that recovers produces the exact fault-free samples
         exp = small_exp(models=("julia",), sizes=(256,))
-        clean = run_experiment(exp, options=run_opts())
-        noisy = run_experiment(exp, options=run_opts(
+        clean = run_campaign(CampaignSpec(experiment=exp), options=run_opts())
+        noisy = run_campaign(CampaignSpec(experiment=exp), options=run_opts(
             faults=FaultConfig(rate=0.4, seed=0),
             retry=RetryPolicy(max_attempts=50)))
         assert (clean.cell("julia", 256).times_s
@@ -297,7 +293,7 @@ class TestEngineResilience:
 
 class TestDegradedMode:
     def failed_rs(self):
-        return run_experiment(small_exp(), options=run_opts(
+        return run_campaign(CampaignSpec(experiment=small_exp()), options=run_opts(
             faults=FaultConfig(always=("julia@512",))))
 
     def test_render_marks_failed_cells(self):
@@ -313,7 +309,7 @@ class TestDegradedMode:
 
     def test_all_failed_model_gets_zero_not_dash(self):
         from repro.core.efficiency import efficiency_table_for
-        rs = run_experiment(small_exp(), options=run_opts(
+        rs = run_campaign(CampaignSpec(experiment=small_exp()), options=run_opts(
             faults=FaultConfig(always=("julia",))))
         [julia] = [c for c in efficiency_table_for(rs, ["julia"], "Epyc 7A53")]
         assert julia.value == 0.0
@@ -330,7 +326,7 @@ class TestDegradedMode:
             == [m.status for m in rs.measurements]
 
     def test_v2_documents_still_load(self):
-        rs = run_experiment(small_exp(), options=run_opts())
+        rs = run_campaign(CampaignSpec(experiment=small_exp()), options=run_opts())
         doc = result_set_to_dict(rs)
         doc["schema"] = 2
         doc.pop("degraded")
@@ -341,7 +337,7 @@ class TestDegradedMode:
         assert not loaded.degraded
 
     def test_sweep_report_lists_degraded_cells(self):
-        engine = SweepEngine(cache=None, parallel=False)
+        engine = SweepEngine(cache=None)
         engine.run(small_exp(),
                    options=RunOptions(faults=FaultConfig(always=("julia@512",))))
         text = engine.last_report.render()
@@ -353,7 +349,7 @@ class TestDegradedMode:
         from repro.trace.profiler import Profiler
         exp = small_exp(models=("julia",), sizes=(256,))
         prof = Profiler()
-        run_experiment(exp, profiler=prof, options=run_opts(
+        run_campaign(CampaignSpec(experiment=exp), profiler=prof, options=run_opts(
             faults=FaultConfig(rate=0.4, seed=0),
             retry=RetryPolicy(max_attempts=50)))
         kinds = {e.kind for e in prof.events}
@@ -369,7 +365,7 @@ class TestDegradedMode:
 
 class TestTimeline:
     def test_cells_laid_at_real_offsets(self):
-        engine = SweepEngine(cache=None, parallel=False)
+        engine = SweepEngine(cache=None)
         engine.run(small_exp())
         report = engine.last_report
         spans = [e for e in report.timeline().events
@@ -383,7 +379,7 @@ class TestTimeline:
 
     def test_timeline_round_trips_through_chrome_export(self):
         from repro.trace.chrome import chrome_trace_json
-        engine = SweepEngine(cache=None, parallel=False)
+        engine = SweepEngine(cache=None)
         engine.run(small_exp(),
                    options=RunOptions(faults=FaultConfig(always=("julia@512",))))
         doc = json.loads(chrome_trace_json(engine.last_report.timeline().events))
@@ -395,34 +391,25 @@ class TestTimeline:
 
 
 # --------------------------------------------------------------------------
-# the unified entrypoint, RunOptions, and the shim
+# the unified entrypoint and RunOptions
 # --------------------------------------------------------------------------
 
 class TestUnifiedApi:
     def test_engine_strings(self):
         exp = small_exp()
-        a = run_experiment(exp, engine="serial", options=run_opts())
-        b = run_experiment(exp, engine="parallel", options=run_opts())
+        a = run_campaign(CampaignSpec(experiment=exp), engine="serial", options=run_opts())
+        b = run_campaign(CampaignSpec(experiment=exp), engine="process", options=run_opts())
         assert a.measurements == b.measurements
 
     def test_engine_instance_accepted(self):
-        engine = SweepEngine(cache=None, parallel=False)
-        rs = run_experiment(small_exp(), engine=engine)
+        engine = SweepEngine(cache=None)
+        rs = run_campaign(CampaignSpec(experiment=small_exp()), engine=engine)
         assert engine.last_report is not None
         assert len(rs.measurements) == 4
 
     def test_bad_engine_rejected(self):
         with pytest.raises(ConfigError, match="engine"):
-            run_experiment(small_exp(), engine="hyperspeed")
-
-    def test_serial_shim_warns_and_matches(self):
-        exp = small_exp()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rs = run_experiment_serial(exp)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert rs.measurements \
-            == run_experiment(exp, options=run_opts()).measurements
+            run_campaign(CampaignSpec(experiment=small_exp()), engine="hyperspeed")
 
     def test_options_are_frozen(self):
         opts = RunOptions()
@@ -495,7 +482,7 @@ class TestUnifiedApi:
         reset_default_engine()
         reset_default_run_options()
         try:
-            rs = run_experiment(small_exp())
+            rs = run_campaign(CampaignSpec(experiment=small_exp()))
             assert rs.degraded
         finally:
             reset_default_engine()

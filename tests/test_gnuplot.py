@@ -6,8 +6,9 @@ import os
 import pytest
 
 from repro.core.types import DeviceKind, Precision
-from repro.harness import Experiment, run_experiment
+from repro.harness import Experiment, run_campaign
 from repro.harness.gnuplot import to_dat, to_gnuplot_script, write_gnuplot_bundle
+from repro.service import CampaignSpec
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +17,7 @@ def results():
         exp_id="gp-test", title="gnuplot test", node_name="Crusher",
         device=DeviceKind.GPU, precision=Precision.FP64,
         models=("hip", "julia", "numba"), sizes=(512, 1024), reps=5)
-    return run_experiment(exp)
+    return run_campaign(CampaignSpec(experiment=exp))
 
 
 class TestDat:

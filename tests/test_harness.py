@@ -7,13 +7,14 @@ from repro.errors import ExperimentError
 from repro.harness import (
     Experiment,
     QUICK_SIZES,
-    run_experiment,
+    run_campaign,
     run_measurement,
 )
 from repro.harness.figures import crusher_cpu_experiment, wombat_gpu_experiment
 from repro.harness.report import ascii_chart, ascii_table, render_result_set
 from repro.harness.results import Measurement, ResultSet
 from repro.models import model_by_name
+from repro.service import CampaignSpec
 from repro.trace.events import EventKind
 from repro.trace.profiler import Profiler
 
@@ -87,7 +88,7 @@ class TestRunner:
 
     def test_run_experiment_full_grid(self):
         exp = small_cpu_exp()
-        rs = run_experiment(exp)
+        rs = run_campaign(CampaignSpec(experiment=exp))
         assert len(rs.measurements) == len(exp.models) * len(exp.sizes)
         assert rs.models() == list(exp.models)
         assert rs.sizes() == sorted(exp.sizes)
@@ -95,14 +96,14 @@ class TestRunner:
     def test_determinism(self):
         """Same seed, same samples — bit-for-bit."""
         exp = small_cpu_exp()
-        a = run_experiment(exp)
-        b = run_experiment(exp)
+        a = run_campaign(CampaignSpec(experiment=exp))
+        b = run_campaign(CampaignSpec(experiment=exp))
         for ma, mb in zip(a.measurements, b.measurements):
             assert ma.times_s == mb.times_s
 
     def test_seed_changes_samples(self):
-        a = run_experiment(small_cpu_exp(seed=1))
-        b = run_experiment(small_cpu_exp(seed=2))
+        a = run_campaign(CampaignSpec(experiment=small_cpu_exp(seed=1)))
+        b = run_campaign(CampaignSpec(experiment=small_cpu_exp(seed=2)))
         assert a.measurements[0].times_s != b.measurements[0].times_s
 
     def test_gpu_trace_corroboration(self):
@@ -111,7 +112,7 @@ class TestRunner:
         exp = wombat_gpu_experiment(Precision.FP64, sizes=(1024,),
                                     models=("cuda",))
         prof = Profiler()
-        rs = run_experiment(exp, profiler=prof)
+        rs = run_campaign(CampaignSpec(experiment=exp), profiler=prof)
         assert rs.measurements[0].supported
         assert prof.count(EventKind.KERNEL) == exp.reps + exp.warmup
         assert prof.count(EventKind.MEMCPY_H2D) == 1
@@ -120,7 +121,7 @@ class TestRunner:
     def test_jit_trace_event(self):
         exp = small_cpu_exp(models=("numba",))
         prof = Profiler()
-        run_experiment(exp, profiler=prof)
+        run_campaign(CampaignSpec(experiment=exp), profiler=prof)
         assert prof.count(EventKind.JIT_COMPILE) >= 1
 
 
@@ -194,14 +195,14 @@ class TestResults:
         exp = Experiment(**{**exp.__dict__, "node_name": "Crusher",
                             "exp_id": "t-gpu",
                             "models": ("hip", "numba")})
-        rs = run_experiment(exp)
+        rs = run_campaign(CampaignSpec(experiment=exp))
         xs, ys = rs.series("numba")
         assert xs == [] and ys == []
         xs, ys = rs.series("hip")
         assert xs == [512, 1024]
 
     def test_efficiency_series_and_mean(self):
-        rs = run_experiment(small_cpu_exp())
+        rs = run_campaign(CampaignSpec(experiment=small_cpu_exp()))
         es = rs.efficiency_series("julia", "c-openmp")
         assert len(es) == 2
         assert all(0.3 < e < 1.2 for e in es)
@@ -212,17 +213,17 @@ class TestResults:
         exp = Experiment(
             exp_id="t", title="t", node_name="Crusher", device=DeviceKind.GPU,
             precision=Precision.FP64, models=("hip", "numba"), sizes=(512,))
-        rs = run_experiment(exp)
+        rs = run_campaign(CampaignSpec(experiment=exp))
         assert rs.mean_efficiency("numba", "hip") is None
 
     def test_to_rows(self):
-        rs = run_experiment(small_cpu_exp())
+        rs = run_campaign(CampaignSpec(experiment=small_cpu_exp()))
         rows = rs.to_rows()
         assert len(rows) == 4
         assert {"experiment", "model", "size", "gflops"} <= set(rows[0])
 
     def test_cell_lookup_missing(self):
-        rs = run_experiment(small_cpu_exp())
+        rs = run_campaign(CampaignSpec(experiment=small_cpu_exp()))
         with pytest.raises(KeyError):
             rs.cell("julia", 9999)
 
@@ -270,7 +271,7 @@ class TestNonSquareKeys:
                                      key=lambda s: (s.m, s.n, s.k))
 
     def test_square_sweep_api_unchanged(self):
-        rs = run_experiment(small_cpu_exp())
+        rs = run_campaign(CampaignSpec(experiment=small_cpu_exp()))
         assert rs.sizes() == [256, 512]
         m = rs.cell("c-openmp", 256)
         assert m.shape == MatrixShape.square(256)
@@ -313,7 +314,7 @@ class TestReport:
         assert ascii_chart({}) == "(no data)"
 
     def test_render_result_set(self):
-        rs = run_experiment(small_cpu_exp())
+        rs = run_campaign(CampaignSpec(experiment=small_cpu_exp()))
         out = render_result_set(rs)
         assert "C/OpenMP" in out and "Julia" in out
         assert "256" in out and "512" in out
@@ -322,6 +323,6 @@ class TestReport:
         exp = Experiment(
             exp_id="t", title="t", node_name="Crusher", device=DeviceKind.GPU,
             precision=Precision.FP64, models=("hip", "numba"), sizes=(512,))
-        out = render_result_set(run_experiment(exp), chart=False)
+        out = render_result_set(run_campaign(CampaignSpec(experiment=exp)), chart=False)
         assert "n/a" in out
         assert "deprecated" in out

@@ -36,7 +36,8 @@ from repro.harness.health import (
     resolve_hop,
 )
 from repro.harness.report import render_result_set
-from repro.harness.runner import run_experiment
+from repro.harness.runner import run_campaign
+from repro.service import CampaignSpec
 from repro.sim.faults import FaultConfig
 
 
@@ -61,7 +62,7 @@ def cpu_exp(**kw):
 
 
 def serial_engine():
-    return SweepEngine(cache=None, parallel=False)
+    return SweepEngine(cache=None)
 
 
 def breaker_opts(**kw):
@@ -287,7 +288,7 @@ class TestHealthRegistry:
 class TestEngineSubstitution:
     def healed_run(self, **kw):
         engine = serial_engine()
-        rs = run_experiment(gpu_exp(), engine=engine,
+        rs = run_campaign(CampaignSpec(experiment=gpu_exp()), engine=engine,
                             options=breaker_opts(**kw))
         return rs, engine.last_report
 
@@ -383,7 +384,7 @@ class TestEngineSubstitution:
 class TestSubstitutionPricing:
     def test_efficiency_series_prices_serves_honestly(self):
         engine = serial_engine()
-        rs = run_experiment(gpu_exp(), engine=engine,
+        rs = run_campaign(CampaignSpec(experiment=gpu_exp()), engine=engine,
                             options=breaker_opts())
         es = rs.efficiency_series("numba", "cuda")
         by_size = dict(zip(rs.sizes(), es))
@@ -395,7 +396,7 @@ class TestSubstitutionPricing:
         # The served ratio is the substituted measurement's own gflops
         # over the reference's — never the open lane's imagined native
         # number.
-        rs = run_experiment(gpu_exp(), engine=serial_engine(),
+        rs = run_campaign(CampaignSpec(experiment=gpu_exp()), engine=serial_engine(),
                             options=breaker_opts())
         m1024 = rs.cell("numba", 1024)
         ref = rs.cell("cuda", 1024)
@@ -420,7 +421,7 @@ class TestDisabledBreakersAreInert:
             exp, faults, breaker=BreakerPolicy(), fallback=None)
 
     def test_export_has_no_provenance_keys(self):
-        rs = run_experiment(cpu_exp(), engine=serial_engine(),
+        rs = run_campaign(CampaignSpec(experiment=cpu_exp()), engine=serial_engine(),
                             options=RunOptions(cache=False))
         doc = result_set_to_dict(rs)
         assert doc["substituted"] is False
@@ -430,10 +431,9 @@ class TestDisabledBreakersAreInert:
 
     def test_runs_identical_with_and_without_health_fields(self):
         exp = cpu_exp()
-        plain = run_experiment(exp, engine=serial_engine(),
+        plain = run_campaign(CampaignSpec(experiment=exp), engine=serial_engine(),
                                options=RunOptions(cache=False))
-        explicit = run_experiment(
-            exp, engine=serial_engine(),
+        explicit = run_campaign(CampaignSpec(experiment=exp), engine=serial_engine(),
             options=RunOptions(cache=False, breaker=BreakerPolicy(),
                                fallback=None))
         assert result_set_to_json(plain) == result_set_to_json(explicit)

@@ -26,13 +26,14 @@ from repro.harness.journal import (
     restore_campaign,
     resume_run,
 )
-from repro.harness.runner import run_experiment
+from repro.harness.runner import run_campaign
 from repro.ioutil import (
     atomic_write_text,
     content_digest,
     read_json_artifact,
     write_json_artifact,
 )
+from repro.service import CampaignSpec
 
 
 def small_exp(**kw):
@@ -51,7 +52,7 @@ def registry(tmp_path):
 
 
 def serial_engine(cache=None):
-    return SweepEngine(cache=cache, parallel=False)
+    return SweepEngine(cache=cache)
 
 
 def interrupt_on_call(n):
@@ -250,7 +251,7 @@ class TestJournaledSweep:
         exp = small_exp()
         journal = registry.create()
         report_engine = serial_engine()
-        rs = run_experiment(exp, engine=report_engine,
+        rs = run_campaign(CampaignSpec(experiment=exp), engine=report_engine,
                             options=RunOptions(journal=journal))
         journal.close()
         state = registry.load(journal.run_id)
@@ -266,7 +267,7 @@ class TestJournaledSweep:
         journal = registry.create()
         try:
             with pytest.raises(RunInterrupted) as err:
-                run_experiment(small_exp(), engine=serial_engine(),
+                run_campaign(CampaignSpec(experiment=small_exp()), engine=serial_engine(),
                                options=RunOptions(journal=journal))
         finally:
             mp.undo()
@@ -280,12 +281,12 @@ class TestJournaledSweep:
     def test_resume_is_byte_identical(self, registry):
         exp = small_exp()
         baseline = result_set_to_json(
-            run_experiment(exp, engine=serial_engine()))
+            run_campaign(CampaignSpec(experiment=exp), engine=serial_engine()))
         mp = interrupt_on_call(3)
         journal = registry.create()
         try:
             with pytest.raises(RunInterrupted):
-                run_experiment(exp, engine=serial_engine(),
+                run_campaign(CampaignSpec(experiment=exp), engine=serial_engine(),
                                options=RunOptions(journal=journal))
         finally:
             mp.undo()
@@ -307,13 +308,13 @@ class TestJournaledSweep:
                           retry=RetryPolicy(max_attempts=3))
         exp = small_exp()
         baseline = result_set_to_json(
-            run_experiment(exp, engine=serial_engine(), options=opts))
+            run_campaign(CampaignSpec(experiment=exp), engine=serial_engine(), options=opts))
         mp = interrupt_on_call(3)
         journal = registry.create()
         from dataclasses import replace
         try:
             with pytest.raises(RunInterrupted):
-                run_experiment(exp, engine=serial_engine(),
+                run_campaign(CampaignSpec(experiment=exp), engine=serial_engine(),
                                options=replace(opts, journal=journal))
         finally:
             mp.undo()
@@ -326,7 +327,7 @@ class TestJournaledSweep:
     def test_resume_of_complete_run_is_idempotent(self, registry):
         exp = small_exp()
         journal = registry.create()
-        rs = run_experiment(exp, engine=serial_engine(),
+        rs = run_campaign(CampaignSpec(experiment=exp), engine=serial_engine(),
                             options=RunOptions(journal=journal))
         journal.close()
         replayed = resume_run(journal.run_id, registry=registry,
@@ -335,7 +336,7 @@ class TestJournaledSweep:
 
     def test_resume_refuses_fingerprint_mismatch(self, registry):
         journal = registry.create()
-        run_experiment(small_exp(), engine=serial_engine(),
+        run_campaign(CampaignSpec(experiment=small_exp()), engine=serial_engine(),
                        options=RunOptions(journal=journal))
         journal.close()
         state = registry.load(journal.run_id)
@@ -345,8 +346,8 @@ class TestJournaledSweep:
 
     def test_journal_survives_parallel_execution(self, registry):
         journal = registry.create()
-        engine = SweepEngine(cache=None, parallel=True, max_workers=4)
-        run_experiment(small_exp(), engine=engine,
+        engine = SweepEngine(cache=None, max_workers=2, mode="process")
+        run_campaign(CampaignSpec(experiment=small_exp()), engine=engine,
                        options=RunOptions(journal=journal))
         journal.close()
         state = registry.load(journal.run_id)
@@ -358,7 +359,7 @@ class TestJournaledSweep:
         opts = RunOptions(faults=FaultConfig.parse("always=julia@512"))
         journal = registry.create()
         from dataclasses import replace
-        rs = run_experiment(exp, engine=serial_engine(),
+        rs = run_campaign(CampaignSpec(experiment=exp), engine=serial_engine(),
                             options=replace(opts, journal=journal))
         journal.close()
         assert rs.degraded
@@ -387,7 +388,7 @@ class TestJournaledSweep:
         exp = self.gpu_exp()
         journal = registry.create()
         from dataclasses import replace
-        rs = run_experiment(exp, engine=serial_engine(),
+        rs = run_campaign(CampaignSpec(experiment=exp), engine=serial_engine(),
                             options=replace(self.breaker_opts(),
                                             journal=journal))
         journal.close()
@@ -407,13 +408,13 @@ class TestJournaledSweep:
         exp = self.gpu_exp()
         opts = self.breaker_opts()
         baseline = result_set_to_json(
-            run_experiment(exp, engine=serial_engine(), options=opts))
+            run_campaign(CampaignSpec(experiment=exp), engine=serial_engine(), options=opts))
         mp = interrupt_on_call(4)
         journal = registry.create()
         from dataclasses import replace
         try:
             with pytest.raises(RunInterrupted):
-                run_experiment(exp, engine=serial_engine(),
+                run_campaign(CampaignSpec(experiment=exp), engine=serial_engine(),
                                options=replace(opts, journal=journal))
         finally:
             mp.undo()
@@ -435,7 +436,7 @@ class TestJournaledSweep:
         opts = self.breaker_opts(
             fallback=FallbackLadder.parse("numba@gpu=reference"))
         journal = registry.create()
-        rs = run_experiment(exp, engine=serial_engine(),
+        rs = run_campaign(CampaignSpec(experiment=exp), engine=serial_engine(),
                             options=replace(opts, journal=journal))
         journal.close()
         state = registry.load(journal.run_id)
@@ -452,7 +453,7 @@ def process_engine(cache=None):
     import multiprocessing
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("fork start method unavailable")
-    return SweepEngine(cache=cache, parallel=True, max_workers=2,
+    return SweepEngine(cache=cache, max_workers=2,
                        mode="process")
 
 
@@ -483,11 +484,11 @@ class TestProcessEngineJournal:
     def test_journal_stream_identical_to_serial(self, registry):
         exp = small_exp()
         serial_j = registry.create()
-        run_experiment(exp, engine=serial_engine(),
+        run_campaign(CampaignSpec(experiment=exp), engine=serial_engine(),
                        options=RunOptions(journal=serial_j))
         serial_j.close()
         proc_j = registry.create()
-        run_experiment(exp, engine=process_engine(),
+        run_campaign(CampaignSpec(experiment=exp), engine=process_engine(),
                        options=RunOptions(journal=proc_j))
         proc_j.close()
         assert (journal_record_stream(registry, proc_j.run_id)
@@ -496,12 +497,12 @@ class TestProcessEngineJournal:
     def test_resume_on_process_engine_is_byte_identical(self, registry):
         exp = small_exp()
         baseline = result_set_to_json(
-            run_experiment(exp, engine=serial_engine()))
+            run_campaign(CampaignSpec(experiment=exp), engine=serial_engine()))
         mp = interrupt_on_call(3)
         journal = registry.create()
         try:
             with pytest.raises(RunInterrupted):
-                run_experiment(exp, engine=serial_engine(),
+                run_campaign(CampaignSpec(experiment=exp), engine=serial_engine(),
                                options=RunOptions(journal=journal))
         finally:
             mp.undo()
@@ -549,7 +550,7 @@ class TestCacheSelfHealing:
 
     def seeded(self, cache):
         exp = small_exp(models=("julia",), sizes=(256,))
-        run_experiment(exp, engine=SweepEngine(cache=cache, parallel=False))
+        run_campaign(CampaignSpec(experiment=exp), engine=SweepEngine(cache=cache))
         (path,) = list(cache._entry_paths())
         from repro.harness.engine import cell_fingerprint
         return exp, path, cell_fingerprint(exp, "julia", exp.shapes()[0])
@@ -595,8 +596,7 @@ class TestFsck:
     def store(self, tmp_path, registry):
         cache = ResultCache(str(tmp_path / "cache"))
         journal = registry.create()
-        rs = run_experiment(
-            small_exp(), engine=SweepEngine(cache=cache, parallel=False),
+        rs = run_campaign(CampaignSpec(experiment=small_exp()), engine=SweepEngine(cache=cache),
             options=RunOptions(journal=journal))
         journal.close()
         return cache, registry, journal.run_id, rs

@@ -26,7 +26,7 @@ from repro.harness.health import BreakerPolicy, FallbackLadder
 from repro.harness.engine.options import RetryPolicy
 from repro.harness.journal import RunRegistry, fsck_store
 from repro.harness.report import render_result_set
-from repro.harness.runner import run_campaign, run_experiment
+from repro.harness.runner import run_campaign
 from repro.service import (
     AdmissionPolicy,
     CampaignDaemon,
@@ -39,6 +39,7 @@ from repro.service import (
     TenantQuota,
     spec_from_dict,
     spec_from_json,
+    spec_to_dict,
     spec_to_json,
 )
 from repro.sim.faults import FaultConfig
@@ -61,8 +62,7 @@ def small_spec(tenant="default", priority=0, **kw):
 
 def solo_render(spec):
     """What `repro run` prints for the same request, cache-free."""
-    results = run_campaign(spec, engine=SweepEngine(cache=None,
-                                                    parallel=False))
+    results = run_campaign(spec, engine=SweepEngine(cache=None))
     return render_result_set(results)
 
 
@@ -139,6 +139,17 @@ class TestCampaignSpec:
         sparse = spec_to_json(small_spec())
         assert "deadline_s" not in sparse
         assert "submission_key" not in sparse
+
+    def test_retired_thread_engine_loads_as_serial(self):
+        payload = spec_to_dict(small_spec())
+        payload["engine"] = "thread"
+        assert payload["spec_version"] == 2
+        spec = spec_from_dict(payload)
+        assert spec.engine == "serial"
+        assert spec_from_json(spec_to_json(spec)) == spec
+        # Only the durable-document decoder forgives the old name.
+        with pytest.raises(ConfigError, match="serial/process"):
+            CampaignSpec(experiment=small_exp(), engine="thread")
 
     def test_v1_payloads_still_load(self):
         payload = {"spec_version": 1, "experiment": small_exp().to_dict()}
@@ -448,6 +459,35 @@ class TestServiceRecovery:
         assert render_result_set(svc2.result_set(id_a)) == solo_render(spec_a)
         assert render_result_set(svc2.result_set(id_b)) == solo_render(spec_b)
 
+    def test_recover_journal_whose_spec_names_the_thread_engine(
+            self, store, monkeypatch):
+        # A journal written when the thread engine still existed carries
+        # "engine": "thread" in its durable spec.  Recovery decodes it as
+        # serial and finishes the same campaign byte-identically.
+        import repro.service.service as service_mod
+        registry, cache = store
+        spec = small_spec(tenant="alice", exp_id="re-thread")
+        monkeypatch.setattr(service_mod, "spec_to_dict",
+                            lambda s: dict(spec_to_dict(s), engine="thread"))
+        svc1 = CampaignService(registry=registry, cache=cache)
+        cid = svc1.submit(spec)
+        for _ in range(2):
+            assert svc1.step()
+        svc1.suspend()
+        monkeypatch.setattr(service_mod, "spec_to_dict", spec_to_dict)
+        with open(registry.path_for(cid)) as fh:
+            assert '"engine":"thread"' in fh.read()
+
+        svc2 = CampaignService(registry=registry, cache=cache)
+        assert svc2.recover() == [cid]
+        assert svc2.campaigns[cid].spec.engine == "serial"
+        svc2.run_until_idle()
+        assert svc2.campaigns[cid].state == "done"
+        assert svc2.campaigns[cid].stats["replayed"] == 2
+        solo = run_campaign(spec, engine=SweepEngine(cache=None))
+        assert (result_set_to_json(svc2.result_set(cid))
+                == result_set_to_json(solo))
+
     def test_recover_skips_journals_owned_by_a_live_process(self, store):
         registry, cache = store
         svc1 = CampaignService(registry=registry, cache=cache)
@@ -678,18 +718,10 @@ class TestActiveState:
 
 
 # --------------------------------------------------------------------------
-# deprecated shims
+# the package-level entrypoint
 # --------------------------------------------------------------------------
 
 class TestShims:
-    def test_run_experiment_warns_and_matches_run_campaign(self):
-        exp = small_exp(exp_id="shim")
-        engine = SweepEngine(cache=None, parallel=False)
-        with pytest.deprecated_call():
-            old = run_experiment(exp, engine=engine)
-        new = run_campaign(CampaignSpec(experiment=exp), engine=engine)
-        assert render_result_set(old) == render_result_set(new)
-
     def test_top_level_export(self):
         assert repro.run_campaign is run_campaign
 
@@ -775,8 +807,7 @@ class TestDaemonWire:
         client.wait(cid, timeout=120)
         exported = client.report(cid, fmt="json")
         # the wire export is byte-identical to `repro run --format json`
-        solo = run_campaign(spec, engine=SweepEngine(cache=None,
-                                                     parallel=False))
+        solo = run_campaign(spec, engine=SweepEngine(cache=None))
         assert exported == result_set_to_json(solo) + "\n"
         # and round-trips through the artifact loader losslessly
         loaded = result_set_from_json(exported)
