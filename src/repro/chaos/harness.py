@@ -187,8 +187,10 @@ def scenario_daemon_kill(workdir: str) -> ChaosScenarioResult:
     runs_dir = os.path.join(workdir, "runs")
     cache_dir = os.path.join(workdir, "cache")
     sock = os.path.join(workdir, "chaos.sock")
-    plan_path = ChaosPlan((ChaosEvent("daemon-grant", "kill", after=8),)) \
-        .write(os.path.join(workdir, "plan.json"))
+    # The daemon starts with an empty plan; the kill is armed only once
+    # both campaigns are queued, so it cannot fire before the second
+    # submit is answered.  Strike points reload the plan on every hit.
+    plan_path = ChaosPlan().write(os.path.join(workdir, "plan.json"))
     spec_a = _chaos_spec("chaos-daemon-a", ("julia", "numba", "kokkos"),
                          (256, 512, 1024, 2048), reps=4, tenant="alice")
     spec_b = _chaos_spec("chaos-daemon-b", ("julia", "numba", "kokkos"),
@@ -210,8 +212,12 @@ def scenario_daemon_kill(workdir: str) -> ChaosScenarioResult:
         client = ServiceClient(sock)
         id_a = client.submit(spec_a)
         id_b = client.submit(spec_b)
-        # The armed plan SIGKILLs the daemon on its 9th grant — no
-        # graceful unwind, no sidecar release, journals torn mid-run.
+        # Armed now, the plan SIGKILLs the daemon on its 9th grant from
+        # here — no graceful unwind, no sidecar release, journals torn
+        # mid-run.  The swap is atomic: a strike never reads half a plan.
+        armed = ChaosPlan((ChaosEvent("daemon-grant", "kill", after=8),)) \
+            .write(plan_path + ".armed")
+        os.replace(armed, plan_path)
         first.wait(timeout=_SCENARIO_TIMEOUT_S)
     finally:
         if first.poll() is None:

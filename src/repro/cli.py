@@ -61,6 +61,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .config import resolve_campaign_spec, resolve_run_settings
 from .core.types import DeviceKind, Precision
 from .errors import (
     CellFailure,
@@ -77,6 +78,7 @@ from .harness import (
     fig5,
     fig6,
     fig7,
+    resolve_engine,
     run_campaign,
     table1,
     table2,
@@ -115,14 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--full", action="store_true")
 
     run = sub.add_parser("run", help="run a custom experiment")
-    run.add_argument("--node", choices=sorted(NODE_CATALOG), default="crusher")
-    run.add_argument("--device", choices=("cpu", "gpu"), default="cpu")
-    run.add_argument("--precision", default="fp64")
-    run.add_argument("--models", default="c-openmp,kokkos,julia,numba",
-                     help="comma-separated model names")
-    run.add_argument("--sizes", default=",".join(map(str, QUICK_SIZES)))
-    run.add_argument("--threads", type=int, default=None)
-    run.add_argument("--reps", type=int, default=10)
+    _add_experiment_flags(run)
     run.add_argument("--include-transfers", action="store_true",
                      help="charge H2D/D2H to every GPU repetition")
     run.add_argument("--format", choices=("text", "json", "csv"),
@@ -295,15 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--spec", default=None, metavar="FILE",
                         help="serialized CampaignSpec JSON (overrides the "
                              "experiment flags; '-' reads stdin)")
-    submit.add_argument("--node", choices=sorted(NODE_CATALOG),
-                        default="crusher")
-    submit.add_argument("--device", choices=("cpu", "gpu"), default="cpu")
-    submit.add_argument("--precision", default="fp64")
-    submit.add_argument("--models", default="c-openmp,kokkos,julia,numba",
-                        help="comma-separated model names")
-    submit.add_argument("--sizes", default=",".join(map(str, QUICK_SIZES)))
-    submit.add_argument("--threads", type=int, default=None)
-    submit.add_argument("--reps", type=int, default=10)
+    _add_experiment_flags(submit)
     submit.add_argument("--exp-id", default="cli-run",
                         help="experiment id (cells dedup across campaigns "
                              "with equal ids and methodology)")
@@ -387,6 +374,34 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
+    """The experiment flags ``repro run`` and ``repro submit`` share."""
+    p.add_argument("--node", choices=sorted(NODE_CATALOG), default="crusher")
+    p.add_argument("--device", choices=("cpu", "gpu"), default="cpu")
+    p.add_argument("--precision", default="fp64")
+    p.add_argument("--models", default="c-openmp,kokkos,julia,numba",
+                   help="comma-separated model names")
+    p.add_argument("--sizes", default=",".join(map(str, QUICK_SIZES)))
+    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--reps", type=int, default=10)
+
+
+def _experiment_from_args(args: argparse.Namespace) -> Experiment:
+    """The :class:`Experiment` the shared experiment flags describe."""
+    return Experiment(
+        exp_id=getattr(args, "exp_id", "cli-run"),
+        title="custom CLI experiment",
+        node_name=args.node,
+        device=DeviceKind.CPU if args.device == "cpu" else DeviceKind.GPU,
+        precision=Precision.parse(args.precision),
+        models=tuple(s.strip() for s in args.models.split(",") if s.strip()),
+        sizes=tuple(int(s) for s in args.sizes.split(",")),
+        threads=args.threads,
+        reps=args.reps,
+        include_transfers=getattr(args, "include_transfers", False),
+    )
+
+
 def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--faults", default=None, metavar="SPEC",
                    help="inject deterministic faults, e.g. '0.2' or "
@@ -408,43 +423,6 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
                    help="explicit fallback ladders, e.g. "
                         "'numba@gpu=numba@cpu+reference' (default: derived "
                         "from the model registry's support matrix)")
-
-
-def _options_for(args: argparse.Namespace):
-    """A RunOptions for the resilience flags, or None for the process
-    default (which itself reads the REPRO_FAULTS family of env vars)."""
-    from dataclasses import replace
-    from .harness.engine import RunOptions
-    from .harness.health import BreakerPolicy, FallbackLadder
-    from .sim.faults import FaultConfig
-
-    faults_spec = getattr(args, "faults", None)
-    retries = getattr(args, "retries", None)
-    budget = getattr(args, "max_cell_seconds", None)
-    fail_fast = getattr(args, "fail_fast", False)
-    breaker_spec = getattr(args, "breaker", None)
-    fallback_spec = getattr(args, "fallback", None)
-    if faults_spec is None and retries is None and budget is None \
-            and not fail_fast and breaker_spec is None \
-            and fallback_spec is None:
-        return None
-    opts = RunOptions.from_env()
-    if faults_spec is not None:
-        opts = replace(opts, faults=FaultConfig.parse(faults_spec))
-    retry = opts.retry
-    if retries is not None:
-        retry = replace(retry, max_attempts=retries + 1)
-    if budget is not None:
-        retry = replace(retry, max_cell_seconds=budget)
-    if retry is not opts.retry:
-        opts = replace(opts, retry=retry)
-    if fail_fast:
-        opts = replace(opts, fail_fast=True)
-    if breaker_spec is not None:
-        opts = replace(opts, breaker=BreakerPolicy.parse(breaker_spec))
-    if fallback_spec is not None:
-        opts = replace(opts, fallback=FallbackLadder.parse(fallback_spec))
-    return opts
 
 
 def _cmd_machines() -> str:
@@ -498,69 +476,37 @@ def _cmd_table(number: int, full: bool) -> str:
     return table3(sizes).render()
 
 
-def _journal_enabled(args: argparse.Namespace) -> bool:
-    """Journal by default; ``--no-journal`` or ``REPRO_JOURNAL=off`` opt
-    out (tests and throwaway sweeps that should leave no run on record)."""
-    import os
-    if getattr(args, "no_journal", False):
-        return False
-    return os.environ.get("REPRO_JOURNAL", "").strip().lower() not in (
-        "off", "0", "no", "false")
-
-
 def _cmd_run(args: argparse.Namespace) -> str:
     if getattr(args, "resume", None):
+        from .harness.engine import RunOptions
         from .harness.journal import RunRegistry, resume_run
         reg = RunRegistry()
         state = reg.load(args.resume)
         print(f"repro: resuming run {args.resume}: "
               f"{state.done_cells}/{state.total_cells} cells journaled, "
               f"{state.remaining_cells} to execute", file=sys.stderr)
-        engine = _engine_for(args)
+        settings = resolve_run_settings(cli=_cli_overrides(args))
+        options = RunOptions(cache=settings["cache"], jobs=settings["jobs"],
+                             watchdog=settings["watchdog"])
+        engine = resolve_engine(None, options, mode=settings["engine"])
         results = resume_run(args.resume, registry=reg, engine=engine,
-                             options=_watchdog_options(args, None))
+                             options=options)
         return _render_run(args, results, engine)
     if args.config:
         import json as _json
         with open(args.config) as fh:
             exp = Experiment.from_dict(_json.load(fh))
         return _finish_run(args, exp)
-    exp = Experiment(
-        exp_id="cli-run",
-        title="custom CLI experiment",
-        node_name=args.node,
-        device=DeviceKind.CPU if args.device == "cpu" else DeviceKind.GPU,
-        precision=Precision.parse(args.precision),
-        models=tuple(s.strip() for s in args.models.split(",") if s.strip()),
-        sizes=tuple(int(s) for s in args.sizes.split(",")),
-        threads=args.threads,
-        reps=args.reps,
-        include_transfers=getattr(args, "include_transfers", False),
-    )
-    return _finish_run(args, exp)
+    return _finish_run(args, _experiment_from_args(args))
 
 
-def _engine_for(args: argparse.Namespace):
-    """An engine honouring the run subcommand's overrides, or None for
-    the process default."""
-    no_cache = getattr(args, "no_cache", False)
-    jobs = getattr(args, "jobs", None)
-    mode = ("serial" if getattr(args, "serial", False)
-            else getattr(args, "engine", None))
-    if not (no_cache or jobs or mode or getattr(args, "engine_stats", False)):
-        return None
-    from .harness.engine import SweepEngine
-    return SweepEngine.from_env(cache_enabled=False if no_cache else None,
-                                max_workers=jobs, mode=mode)
-
-
-def _spec_cli_overrides(args: argparse.Namespace) -> dict:
+def _cli_overrides(args: argparse.Namespace) -> dict:
     """The CLI layer of the one precedence pass (CLI > env > defaults).
 
-    Keys mirror :func:`repro.config.resolve_campaign_spec`'s ``cli``
+    Keys mirror :func:`repro.config.resolve_run_settings`'s ``cli``
     mapping; ``None`` means "flag not given, let the environment or the
-    defaults decide".  Shared by ``repro run`` and ``repro submit`` so
-    the two surfaces cannot drift.
+    defaults decide".  Shared by every subcommand that takes run flags
+    so the surfaces cannot drift.
     """
     return {
         "faults": getattr(args, "faults", None),
@@ -577,40 +523,26 @@ def _spec_cli_overrides(args: argparse.Namespace) -> dict:
         "priority": getattr(args, "priority", None),
         "deadline": getattr(args, "deadline", None),
         "submission_key": getattr(args, "submission_key", None),
+        # The watchdog supervises *this process's* worker pool: it is
+        # never journaled or fingerprinted, so it stays out of the spec.
+        "watchdog": getattr(args, "watchdog", None),
+        "journal": False if getattr(args, "no_journal", False) else None,
+        "client_retries": getattr(args, "client_retries", None),
     }
 
 
-def _watchdog_options(args: argparse.Namespace, base):
-    """Overlay ``--watchdog`` on ``base`` (or the env defaults).
-
-    The watchdog deliberately stays out of CampaignSpec: it supervises
-    *this process's* worker pool, is never journaled or fingerprinted,
-    and must not change a run's identity.
-    """
-    spec = getattr(args, "watchdog", None)
-    if spec is None:
-        return base
-    from dataclasses import replace
-    from .harness.engine import RunOptions, WatchdogPolicy
-    return replace(base if base is not None else RunOptions.from_env(),
-                   watchdog=WatchdogPolicy.parse(spec))
-
-
 def _finish_run(args: argparse.Namespace, exp: Experiment) -> str:
-    from .config import resolve_campaign_spec
-    from .harness import resolve_engine
+    from .harness.engine import RunOptions
 
-    spec = resolve_campaign_spec(exp, cli=_spec_cli_overrides(args))
-    base = None
+    overrides = _cli_overrides(args)
+    spec = resolve_campaign_spec(exp, cli=overrides)
+    settings = resolve_run_settings(cli=overrides)
     journal = None
     registry = None
-    if _journal_enabled(args):
-        from dataclasses import replace
-        from .harness.engine import RunOptions
+    if settings["journal"]:
         from .harness.journal import RunRegistry
         registry = RunRegistry()
         journal = registry.create()
-        base = replace(RunOptions.from_env(), journal=journal)
         # The ACTIVE sidecar tells `repro runs list`, `repro fsck` and a
         # recovering daemon that a live process owns this journal.
         registry.mark_active(journal.run_id)
@@ -619,7 +551,7 @@ def _finish_run(args: argparse.Namespace, exp: Experiment) -> str:
         print(f"repro: journaling run {journal.run_id} "
               f"(resume with: repro run --resume {journal.run_id})",
               file=sys.stderr)
-    base = _watchdog_options(args, base)
+    base = RunOptions(journal=journal, watchdog=settings["watchdog"])
     engine = resolve_engine(None, spec.run_options(base=base),
                             mode=spec.engine)
     try:
@@ -627,7 +559,6 @@ def _finish_run(args: argparse.Namespace, exp: Experiment) -> str:
     finally:
         if journal is not None:
             journal.close()
-        if registry is not None and journal is not None:
             registry.release_active(journal.run_id)
     return _render_run(args, results, engine)
 
@@ -917,38 +848,18 @@ def _cmd_serve(args: argparse.Namespace) -> "tuple[str, int]":
             f"({recovered} campaign(s) recovered at startup)"), 0
 
 
-def _client_retries(args: argparse.Namespace) -> int:
-    """``--client-retries`` > ``$REPRO_CLIENT_RETRIES`` > 0.
-
-    A client knob, not a spec field: how persistently *this* submit
-    call retries shed/refused requests never changes what the campaign
-    computes, so it stays out of the journaled spec.
-    """
-    import os
-
-    retries = getattr(args, "client_retries", None)
-    if retries is None:
-        raw = os.environ.get("REPRO_CLIENT_RETRIES")
-        if raw:
-            try:
-                retries = int(raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"REPRO_CLIENT_RETRIES={raw!r} is not an integer") \
-                    from exc
-    if retries is not None and retries < 0:
-        raise ConfigError(f"client retries {retries} must be >= 0")
-    return retries if retries is not None else 0
-
-
 def _cmd_submit(args: argparse.Namespace) -> "tuple[str, int]":
     import json as _json
 
     from .errors import DeadlineExpired
     from .service import ClientPolicy, ServiceClient, spec_from_dict
 
+    # A client knob, not a spec field: how persistently *this* submit
+    # retries shed/refused requests never changes what the campaign
+    # computes, so it stays out of the journaled spec.
+    settings = resolve_run_settings(cli=_cli_overrides(args))
     client = ServiceClient(args.socket, policy=ClientPolicy(
-        retries=_client_retries(args)))
+        retries=settings["client_retries"]))
     if args.spec:
         try:
             if args.spec == "-":
@@ -969,20 +880,8 @@ def _cmd_submit(args: argparse.Namespace) -> "tuple[str, int]":
         # before it crosses the wire.
         spec = spec_from_dict(payload)
     else:
-        from .config import resolve_campaign_spec
-        exp = Experiment(
-            exp_id=args.exp_id,
-            title="custom CLI experiment",
-            node_name=args.node,
-            device=DeviceKind.CPU if args.device == "cpu" else DeviceKind.GPU,
-            precision=Precision.parse(args.precision),
-            models=tuple(s.strip() for s in args.models.split(",")
-                         if s.strip()),
-            sizes=tuple(int(s) for s in args.sizes.split(",")),
-            threads=args.threads,
-            reps=args.reps,
-        )
-        spec = resolve_campaign_spec(exp, cli=_spec_cli_overrides(args))
+        spec = resolve_campaign_spec(_experiment_from_args(args),
+                                     cli=_cli_overrides(args))
     campaign_id = client.submit(spec)
     print(f"repro: campaign {campaign_id} queued as tenant "
           f"{spec.tenant!r} (priority {spec.priority})", file=sys.stderr)
@@ -1283,20 +1182,19 @@ def _dispatch(args: argparse.Namespace) -> int:
                    else "survives the full platform set"))
         out = "\n".join(lines)
     elif args.command == "report":
-        from .harness.engine import set_default_run_options
+        from .config import resolve_run_options
+        from .harness.engine import (reset_default_run_options,
+                                     set_default_run_options)
         from .harness.report_all import full_report
         # Campaign-level commands run many experiments through the
         # default entrypoint; resilience flags install as the
         # process-wide options so every panel inherits them.
-        opts = _options_for(args)
+        set_default_run_options(resolve_run_options(cli=_cli_overrides(args)))
         try:
-            if opts is not None:
-                set_default_run_options(opts)
             text = full_report(PAPER_SIZES if args.full else QUICK_SIZES,
                                charts=args.charts)
         finally:
-            if opts is not None:
-                set_default_run_options(None)
+            reset_default_run_options()
         if args.out:
             from .ioutil import atomic_write_text
             atomic_write_text(args.out, text)

@@ -17,7 +17,8 @@ from typing import Dict, Iterator, Mapping, Optional
 
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "KNOWN_VARIABLES", "resolve_campaign_spec"]
+__all__ = ["RunConfig", "KNOWN_VARIABLES", "resolve_campaign_spec",
+           "resolve_run_options", "resolve_run_settings"]
 
 #: Environment variables with meaning to at least one programming model,
 #: mirroring Tables I/II and Appendix A of the paper.
@@ -33,7 +34,11 @@ KNOWN_VARIABLES: Dict[str, str] = {
     "KOKKOS_ARCH": "Kokkos target architecture",
     "JULIA_CUDA_USE_BINARYBUILDER": "use system CUDA instead of artifacts",
     # Sweep-engine knobs (repro.harness.engine), not part of the paper's
-    # surface but configured the same environment-variable way.
+    # surface but configured the same environment-variable way.  The run
+    # settings among them are read once, by resolve_run_settings, where an
+    # empty value means unset; the deployment paths (REPRO_CACHE_DIR,
+    # REPRO_RUNS_DIR, REPRO_SERVICE_SOCKET) and REPRO_CHAOS_PLAN are read
+    # where they are used, and an empty one means unset there too.
     "REPRO_CACHE": "sweep result cache on/off (default on)",
     "REPRO_CACHE_DIR": "sweep result cache directory",
     "REPRO_JOBS": "sweep engine worker-pool width (1 = serial)",
@@ -82,11 +87,6 @@ class RunConfig:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_os_environ(cls) -> "RunConfig":
-        """Snapshot the real process environment (known variables only)."""
-        return cls({k: v for k, v in os.environ.items() if k in KNOWN_VARIABLES})
-
-    @classmethod
     def openmp(cls, threads: int, pin: bool = True) -> "RunConfig":
         """The paper's C/OpenMP launch configuration (Fig. 8)."""
         cfg = cls({"OMP_NUM_THREADS": str(threads)})
@@ -117,7 +117,10 @@ class RunConfig:
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
         return self.env.get(name, default)
 
-    def get_int(self, name: str, default: int) -> int:
+    def get_int(self, name: str, default: Optional[int],
+                minimum: Optional[int] = 1) -> Optional[int]:
+        """Integer accessor; values below ``minimum`` (default: positive
+        only; ``None`` accepts any integer) are rejected."""
         raw = self.env.get(name)
         if raw is None:
             return default
@@ -125,8 +128,10 @@ class RunConfig:
             value = int(raw)
         except ValueError as exc:
             raise ConfigError(f"{name}={raw!r} is not an integer") from exc
-        if value <= 0:
-            raise ConfigError(f"{name}={value} must be positive")
+        if minimum is not None and value < minimum:
+            raise ConfigError(
+                f"{name}={value} must be "
+                + ("positive" if minimum == 1 else f">= {minimum}"))
         return value
 
     def get_float(self, name: str,
@@ -144,7 +149,8 @@ class RunConfig:
             raise ConfigError(f"{name}={value} must be positive")
         return value
 
-    def get_bool(self, name: str, default: bool = False) -> bool:
+    def get_bool(self, name: str,
+                 default: Optional[bool] = False) -> Optional[bool]:
         raw = self.env.get(name)
         if raw is None:
             return default
@@ -218,141 +224,146 @@ class RunConfig:
         return len(self.env)
 
 
-def resolve_campaign_spec(experiment, cli: Optional[Mapping[str, object]] = None,
-                          environ: Optional[Mapping[str, str]] = None):
+#: Settings of :func:`resolve_run_settings` that configure this process
+#: rather than the campaign, so they never enter a spec.
+_PROCESS_SETTINGS = ("watchdog", "journal", "client_retries")
+
+
+def resolve_run_settings(cli: Optional[Mapping[str, object]] = None,
+                         environ: Optional[Mapping[str, str]] = None,
+                         ) -> Dict[str, object]:
     """THE precedence pass: CLI flags > ``REPRO_*`` env vars > defaults.
 
-    Every way of requesting a campaign — ``repro run`` flags, ``repro
-    submit``, the daemon's wire API, library calls — funnels through
-    this one function so the precedence rules live in exactly one place:
+    Every run setting of :data:`KNOWN_VARIABLES` is read here and
+    nowhere else: :func:`resolve_campaign_spec`, :func:`resolve_run_options`
+    and the process-wide engine all build from this one pass.
 
-    1. **CLI** — a non-``None`` entry in ``cli`` wins outright.  Keys
-       mirror the run-subcommand flags: ``faults``, ``retries``,
-       ``max_cell_seconds``, ``fail_fast`` (``True`` only; ``False``
-       means "flag not given"), ``breaker``, ``fallback``, ``cache``,
-       ``jobs``, ``engine`` (``serial``/``thread``/``process``),
-       ``tenant``, ``priority``, ``deadline``, ``submission_key``.
-    2. **Environment** — the ``REPRO_*`` family documented in
-       :data:`KNOWN_VARIABLES` fills anything the CLI left unset.
-    3. **Defaults** — fields neither layer set stay ``None`` in the
-       spec, which means "inherit the process-wide default" at run time
-       (tenant defaults to ``"default"``, priority to ``0``).
+    1. **CLI** — a non-``None`` entry in ``cli`` wins outright, without
+       the variable being read.  Keys mirror the run-subcommand flags:
+       ``faults``, ``retries``, ``max_cell_seconds``, ``fail_fast``
+       (``True`` only; ``False`` means "flag not given"), ``breaker``,
+       ``fallback``, ``cache``, ``jobs``, ``engine``
+       (``serial``/``process``), ``tenant``, ``priority``, ``deadline``,
+       ``submission_key``, ``watchdog``, ``journal``, ``client_retries``.
+    2. **Environment** — the ``REPRO_*`` variables fill anything the CLI
+       left unset.  An empty value means unset; any other value is
+       parsed by :class:`RunConfig`'s typed accessors or the policy's
+       grammar, and a bad one is a :class:`ConfigError`.
+    3. **Defaults** — campaign fields neither layer set stay ``None``,
+       which means "inherit the process-wide default" at run time
+       (tenant defaults to ``"default"``, priority to ``0``); the
+       watchdog defaults to :class:`WatchdogPolicy`'s, journaling to on,
+       client retries to ``0``.
 
     Composite knobs resolve *per component*: ``--retries 3`` with
     ``REPRO_BACKOFF=2`` yields a retry policy with the CLI's attempt
-    count and the environment's backoff, matching the historical
-    behaviour of layering CLI flags over ``RunOptions.from_env()``.
+    count and the environment's backoff.
 
-    Returns a :class:`repro.service.spec.CampaignSpec` (imported lazily
-    to keep this module dependency-free at import time).
+    Returns the :class:`~repro.service.spec.CampaignSpec` fields (all
+    but ``experiment``) plus ``watchdog``, ``journal`` and
+    ``client_retries``, validated as a spec validates them.
     """
     from .harness.engine.options import RetryPolicy
+    from .harness.engine.watchdog import WatchdogPolicy
     from .harness.health import BreakerPolicy, FallbackLadder
-    from .service.spec import CampaignSpec
+    from .service.spec import check_spec_fields
     from .sim.faults import FaultConfig
 
-    cli = dict(cli or {})
-    cfg = RunConfig({k: v for k, v in (environ if environ is not None
-                                       else os.environ).items()
-                     if k in KNOWN_VARIABLES})
+    cli = {k: v for k, v in (cli or {}).items() if v is not None}
+    if not cli.get("fail_fast"):
+        cli.pop("fail_fast", None)
+    env = RunConfig({k: v for k, v in (os.environ if environ is None
+                                       else environ).items()
+                     if k in KNOWN_VARIABLES and v.strip()})
 
-    def pick(key: str, env_var: str):
-        if cli.get(key) is not None:
-            return cli[key]
-        return cfg.get(env_var)
+    def pick(key: str, var: str, read=env.get):
+        return cli[key] if key in cli else read(var)
 
-    faults_spec = pick("faults", "REPRO_FAULTS")
-    faults = None
-    if faults_spec is not None:
-        faults = (faults_spec if isinstance(faults_spec, FaultConfig)
-                  else FaultConfig.parse(str(faults_spec)))
+    def policy(key: str, var: str, cls):
+        value = pick(key, var)
+        if value is None or isinstance(value, cls):
+            return value
+        return cls.parse(str(value))
 
-    retries = cli.get("retries")
-    if retries is None:
-        raw = cfg.get("REPRO_RETRIES")
-        if raw is not None:
-            try:
-                retries = int(raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"REPRO_RETRIES={raw!r} is not an integer") from exc
+    retries = pick("retries", "REPRO_RETRIES",
+                   lambda var: env.get_int(var, None, minimum=0))
     if retries is not None and retries < 0:
         raise ConfigError(f"retries {retries} must be >= 0")
-    backoff = cfg.get_float("REPRO_BACKOFF", None)
-    budget = cli.get("max_cell_seconds")
-    if budget is None:
-        budget = cfg.get_float("REPRO_MAX_CELL_SECONDS", None)
+    backoff = env.get_float("REPRO_BACKOFF")
+    budget = pick("max_cell_seconds", "REPRO_MAX_CELL_SECONDS",
+                  env.get_float)
     retry = None
     if retries is not None or backoff is not None or budget is not None:
         retry = RetryPolicy(
-            max_attempts=(retries + 1 if retries is not None else 1),
-            backoff_base_s=(backoff if backoff is not None else 0.5),
+            max_attempts=(retries or 0) + 1,
+            backoff_base_s=backoff if backoff is not None else 0.5,
             max_cell_seconds=budget,
         )
+    client_retries = pick("client_retries", "REPRO_CLIENT_RETRIES",
+                          lambda var: env.get_int(var, 0, minimum=0))
+    if client_retries < 0:
+        raise ConfigError(f"client retries {client_retries} must be >= 0")
 
-    fail_fast = True if cli.get("fail_fast") else None
-    if fail_fast is None and "REPRO_FAIL_FAST" in cfg.env:
-        fail_fast = cfg.get_bool("REPRO_FAIL_FAST", False)
+    settings: Dict[str, object] = {
+        "engine": pick("engine", "REPRO_ENGINE"),
+        "jobs": pick("jobs", "REPRO_JOBS",
+                     lambda var: env.get_int(var, None)),
+        "cache": pick("cache", "REPRO_CACHE",
+                      lambda var: env.get_bool(var, None)),
+        "faults": policy("faults", "REPRO_FAULTS", FaultConfig),
+        "retry": retry,
+        "fail_fast": pick("fail_fast", "REPRO_FAIL_FAST",
+                          lambda var: env.get_bool(var, None)),
+        "breaker": policy("breaker", "REPRO_BREAKER", BreakerPolicy),
+        "fallback": policy("fallback", "REPRO_FALLBACK", FallbackLadder),
+        "tenant": pick("tenant", "REPRO_TENANT") or "default",
+        "priority": pick("priority", "REPRO_PRIORITY",
+                         lambda var: env.get_int(var, 0, minimum=None)),
+        "deadline_s": pick("deadline", "REPRO_DEADLINE", env.get_float),
+        "submission_key": pick("submission_key", "REPRO_SUBMISSION_KEY"),
+        "watchdog": (policy("watchdog", "REPRO_WATCHDOG", WatchdogPolicy)
+                     or WatchdogPolicy()),
+        "journal": pick("journal", "REPRO_JOURNAL",
+                        lambda var: env.get_bool(var, True)),
+        "client_retries": client_retries,
+    }
+    check_spec_fields(settings)
+    return settings
 
-    breaker_spec = pick("breaker", "REPRO_BREAKER")
-    breaker = None
-    if breaker_spec is not None:
-        breaker = (breaker_spec if isinstance(breaker_spec, BreakerPolicy)
-                   else BreakerPolicy.parse(str(breaker_spec)))
-    fallback_spec = pick("fallback", "REPRO_FALLBACK")
-    fallback = None
-    if fallback_spec is not None:
-        fallback = (fallback_spec if isinstance(fallback_spec, FallbackLadder)
-                    else FallbackLadder.parse(str(fallback_spec)))
 
-    cache = cli.get("cache")
-    if cache is None and "REPRO_CACHE" in cfg.env:
-        cache = cfg.get_bool("REPRO_CACHE", True)
+def resolve_campaign_spec(experiment, cli: Optional[Mapping[str, object]] = None,
+                          environ: Optional[Mapping[str, str]] = None):
+    """The :class:`~repro.service.spec.CampaignSpec` for ``experiment``.
 
-    jobs = cli.get("jobs")
-    if jobs is None and "REPRO_JOBS" in cfg.env:
-        jobs = cfg.get_int("REPRO_JOBS", 1)
+    Every way of requesting a campaign — ``repro run`` flags, ``repro
+    submit``, library calls — resolves its settings through
+    :func:`resolve_run_settings` (same ``cli``/``environ`` arguments),
+    so the precedence rules live in exactly one place.
+    """
+    from .service.spec import CampaignSpec
 
-    engine = cli.get("engine")
-    if engine is None:
-        engine = cfg.get("REPRO_ENGINE")
+    settings = resolve_run_settings(cli, environ)
+    for key in _PROCESS_SETTINGS:
+        del settings[key]
+    return CampaignSpec(experiment=experiment, **settings)
 
-    tenant = cli.get("tenant") or cfg.get("REPRO_TENANT") or "default"
 
-    priority = cli.get("priority")
-    if priority is None:
-        raw = cfg.get("REPRO_PRIORITY")
-        if raw is not None:
-            try:
-                priority = int(raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"REPRO_PRIORITY={raw!r} is not an integer") from exc
+def resolve_run_options(cli: Optional[Mapping[str, object]] = None,
+                        environ: Optional[Mapping[str, str]] = None):
+    """The resilience and watchdog :class:`~repro.harness.engine.RunOptions`
+    of :func:`resolve_run_settings`; unset knobs take their defaults.
 
-    deadline = cli.get("deadline")
-    if deadline is None:
-        deadline = cfg.get_float("REPRO_DEADLINE", None)
+    This is the process-wide default every spec overlays (see
+    :func:`~repro.harness.engine.default_run_options`); cache and job
+    count stay ``None``, since the process-wide engine carries those.
+    """
+    from .harness.engine.options import RunOptions
 
-    submission_key = cli.get("submission_key")
-    if submission_key is None:
-        submission_key = cfg.get("REPRO_SUBMISSION_KEY")
-
-    return CampaignSpec(
-        experiment=experiment,
-        engine=engine,
-        jobs=jobs,
-        cache=cache,
-        faults=faults,
-        retry=retry,
-        fail_fast=fail_fast,
-        breaker=breaker,
-        fallback=fallback,
-        tenant=str(tenant),
-        priority=int(priority) if priority is not None else 0,
-        deadline_s=float(deadline) if deadline is not None else None,
-        submission_key=(str(submission_key)
-                        if submission_key is not None else None),
-    )
+    settings = resolve_run_settings(cli, environ)
+    return RunOptions(watchdog=settings["watchdog"], **{
+        key: settings[key]
+        for key in ("faults", "retry", "fail_fast", "breaker", "fallback")
+        if settings[key] is not None})
 
 
 def _close_match(a: str, b: str) -> bool:

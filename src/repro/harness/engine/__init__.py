@@ -8,20 +8,14 @@ out over a process pool, with a deterministic merge that keeps engine
 output bit-identical to the serial reference loop.  The per-cell state
 machine lives once, in :mod:`repro.harness.engine.cell`.
 
-Process-wide configuration (read once, on first use):
-
-* ``REPRO_CACHE=off`` disables the result cache;
-* ``REPRO_CACHE_DIR`` relocates it (default
-  ``$XDG_CACHE_HOME/repro/results``);
-* ``REPRO_JOBS=N`` caps the process-pool width (``1`` forces serial);
-* ``REPRO_ENGINE=process`` fans cache-missed cells out over a
-  ``ProcessPoolExecutor`` so ``--jobs`` scales past one core
-  (``serial``, the default, runs them inline);
-* ``REPRO_FAULTS`` / ``REPRO_RETRIES`` / ``REPRO_BACKOFF`` /
-  ``REPRO_MAX_CELL_SECONDS`` / ``REPRO_FAIL_FAST`` configure the
-  resilience layer (see :class:`RunOptions`);
-* ``REPRO_WATCHDOG`` tunes process-engine supervision — hang deadlines
-  and pool respawn/redrive bounds (see :class:`WatchdogPolicy`).
+Process-wide defaults: :func:`default_engine` and
+:func:`default_run_options` are built on first use from the one pass
+over the ``REPRO_*`` run settings, :func:`repro.config.resolve_run_settings`
+(``REPRO_CACHE``, ``REPRO_JOBS`` and ``REPRO_ENGINE`` select the engine;
+the fault, retry, breaker and watchdog settings form the options), and
+the ``reset_*`` functions drop them so the next use reads the settings
+again.  ``REPRO_CACHE_DIR`` relocates the cache (default
+``$XDG_CACHE_HOME/repro/results``).
 """
 
 from __future__ import annotations
@@ -62,7 +56,6 @@ __all__ = [
     "RetryPolicy",
     "RunOptions",
     "default_engine",
-    "set_default_engine",
     "reset_default_engine",
     "default_run_options",
     "set_default_run_options",
@@ -73,36 +66,37 @@ _default_engine: Optional[SweepEngine] = None
 
 
 def default_engine() -> SweepEngine:
-    """The process-wide engine, built from the environment on first use."""
+    """The process-wide engine, built from the run settings on first use."""
     global _default_engine
     if _default_engine is None:
-        _default_engine = SweepEngine.from_env()
+        from ...config import resolve_run_settings
+        settings = resolve_run_settings()
+        _default_engine = SweepEngine(
+            cache=None if settings["cache"] is False else ResultCache(),
+            max_workers=settings["jobs"],
+            mode=settings["engine"] or "serial")
     return _default_engine
-
-
-def set_default_engine(engine: Optional[SweepEngine]) -> None:
-    """Replace the process-wide engine (``None`` resets to lazy re-init)."""
-    global _default_engine
-    _default_engine = engine
 
 
 def reset_default_engine() -> None:
     """Drop the process-wide engine so the next use re-reads the env."""
-    set_default_engine(None)
+    global _default_engine
+    _default_engine = None
 
 
 _default_run_options: Optional[RunOptions] = None
 
 
 def default_run_options() -> RunOptions:
-    """The process-wide :class:`RunOptions`, from the environment on
+    """The process-wide :class:`RunOptions`, from the run settings on
     first use.  ``repro report`` and the figure builders call
     ``run_campaign`` with no explicit options; this is what they get,
     so a campaign inherits ``REPRO_FAULTS``-family knobs (or a CLI
     override installed via :func:`set_default_run_options`) everywhere."""
     global _default_run_options
     if _default_run_options is None:
-        _default_run_options = RunOptions.from_env()
+        from ...config import resolve_run_options
+        _default_run_options = resolve_run_options()
     return _default_run_options
 
 

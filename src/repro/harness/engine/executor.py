@@ -228,24 +228,6 @@ class SweepEngine:
         """Whether cache-missed cells may fan out over a worker pool."""
         return self.mode == "process" and self.max_workers != 1
 
-    @classmethod
-    def from_env(cls, cache_enabled: Optional[bool] = None,
-                 max_workers: Optional[int] = None,
-                 mode: Optional[str] = None) -> "SweepEngine":
-        """Engine configured from ``REPRO_CACHE``/``REPRO_CACHE_DIR``/
-        ``REPRO_JOBS``/``REPRO_ENGINE``; keyword arguments override the
-        environment."""
-        from ...config import RunConfig
-        cfg = RunConfig.from_os_environ()
-        if cache_enabled is None:
-            cache_enabled = cfg.get_bool("REPRO_CACHE", True)
-        if max_workers is None:
-            max_workers = cfg.get_int("REPRO_JOBS", 0) or None
-        if mode is None:
-            mode = cfg.get("REPRO_ENGINE") or "serial"
-        return cls(cache=ResultCache() if cache_enabled else None,
-                   max_workers=max_workers, mode=mode)
-
     @staticmethod
     def _mp_context():
         """Start method for worker processes: ``fork`` where available.

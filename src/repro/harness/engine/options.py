@@ -62,6 +62,26 @@ class RetryPolicy:
             raise ConfigError(f"attempt numbers are 1-based, got {attempt}")
         return self.backoff_base_s * self.backoff_factor ** (attempt - 1)
 
+    def payload(self) -> dict:
+        """Canonical JSON-serialisable form (journal / spec document)."""
+        return {
+            "max_attempts": self.max_attempts,
+            "backoff_base_s": self.backoff_base_s,
+            "backoff_factor": self.backoff_factor,
+            "max_cell_seconds": self.max_cell_seconds,
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "RetryPolicy":
+        """Inverse of :meth:`payload` (the journal-restore path)."""
+        budget = payload.get("max_cell_seconds")
+        return cls(
+            max_attempts=int(payload.get("max_attempts", 1)),
+            backoff_base_s=float(payload.get("backoff_base_s", 0.5)),
+            backoff_factor=float(payload.get("backoff_factor", 2.0)),
+            max_cell_seconds=float(budget) if budget is not None else None,
+        )
+
     def describe(self) -> str:
         if self.max_attempts == 1:
             return "no retries"
@@ -75,7 +95,7 @@ class RetryPolicy:
 class RunOptions:
     """Everything one ``run_campaign`` call may tune, in one place.
 
-    Tri-state ``cache``/``jobs`` (``None`` = environment default) keep
+    Tri-state ``cache``/``jobs`` (``None`` = process default) keep
     the zero-configuration path identical to passing no options at all.
     Construct with keywords — the dataclass is frozen, and positional
     construction is considered private.
@@ -113,52 +133,6 @@ class RunOptions:
         if self.jobs is not None and self.jobs < 1:
             raise ConfigError(f"jobs {self.jobs} < 1")
 
-    @classmethod
-    def from_env(cls) -> "RunOptions":
-        """Options from ``REPRO_FAULTS`` / ``REPRO_RETRIES`` /
-        ``REPRO_BACKOFF`` / ``REPRO_MAX_CELL_SECONDS`` / ``REPRO_FAIL_FAST``
-        / ``REPRO_BREAKER`` / ``REPRO_FALLBACK`` / ``REPRO_WATCHDOG``.
-
-        Cache and job-count environment knobs stay with
-        :meth:`SweepEngine.from_env`; this covers the resilience layer so
-        campaign-level commands (``repro report``, figures, Table III)
-        inherit fault/retry settings without new plumbing.
-        """
-        from ...config import RunConfig
-        cfg = RunConfig.from_os_environ()
-        faults_spec = cfg.get("REPRO_FAULTS")
-        faults = FaultConfig.parse(faults_spec) if faults_spec else FaultConfig()
-        raw_retries = cfg.get("REPRO_RETRIES")
-        try:
-            retries = int(raw_retries) if raw_retries is not None else 0
-        except ValueError as exc:
-            raise ConfigError(
-                f"REPRO_RETRIES={raw_retries!r} is not an integer") from exc
-        if retries < 0:
-            raise ConfigError(f"REPRO_RETRIES={retries} must be >= 0")
-        retry = RetryPolicy(
-            max_attempts=retries + 1,
-            backoff_base_s=cfg.get_float("REPRO_BACKOFF", 0.5),
-            max_cell_seconds=cfg.get_float("REPRO_MAX_CELL_SECONDS", None),
-        )
-        breaker_spec = cfg.get("REPRO_BREAKER")
-        breaker = (BreakerPolicy.parse(breaker_spec) if breaker_spec
-                   else BreakerPolicy())
-        fallback_spec = cfg.get("REPRO_FALLBACK")
-        fallback = (FallbackLadder.parse(fallback_spec) if fallback_spec
-                    else None)
-        watchdog_spec = cfg.get("REPRO_WATCHDOG")
-        watchdog = (WatchdogPolicy.parse(watchdog_spec) if watchdog_spec
-                    else WatchdogPolicy())
-        return cls(
-            retry=retry,
-            faults=faults,
-            fail_fast=cfg.get_bool("REPRO_FAIL_FAST", False),
-            breaker=breaker,
-            fallback=fallback,
-            watchdog=watchdog,
-        )
-
     def with_profiler(self, profiler: Optional[Profiler]) -> "RunOptions":
         """Copy with ``profiler`` swapped in (``None`` leaves it alone)."""
         if profiler is None:
@@ -175,12 +149,7 @@ class RunOptions:
         """
         out = {
             "faults": self.faults.payload(),
-            "retry": {
-                "max_attempts": self.retry.max_attempts,
-                "backoff_base_s": self.retry.backoff_base_s,
-                "backoff_factor": self.retry.backoff_factor,
-                "max_cell_seconds": self.retry.max_cell_seconds,
-            },
+            "retry": self.retry.payload(),
             "fail_fast": self.fail_fast,
         }
         # Breaker knobs join the payload only when enabled, keeping the

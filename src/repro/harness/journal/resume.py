@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ...errors import JournalError
-from ...sim.faults import FaultConfig, FaultKind
+from ...sim.faults import FaultConfig
 from ..experiment import Experiment
 from ..health import BreakerPolicy, FallbackLadder
 from ..results import ResultSet
@@ -35,26 +35,6 @@ from .journal import JournalState
 from .registry import RunRegistry
 
 __all__ = ["restore_campaign", "resume_run"]
-
-
-def _faults_from_payload(payload: dict) -> FaultConfig:
-    return FaultConfig(
-        rate=float(payload.get("rate", 0.0)),
-        seed=int(payload.get("seed", 2023)),
-        kinds=tuple(FaultKind(k) for k in payload.get(
-            "kinds", [k.value for k in FaultKind])),
-        always=tuple(payload.get("always", ())),
-    )
-
-
-def _retry_from_payload(payload: dict) -> RetryPolicy:
-    budget = payload.get("max_cell_seconds")
-    return RetryPolicy(
-        max_attempts=int(payload.get("max_attempts", 1)),
-        backoff_base_s=float(payload.get("backoff_base_s", 0.5)),
-        backoff_factor=float(payload.get("backoff_factor", 2.0)),
-        max_cell_seconds=float(budget) if budget is not None else None,
-    )
 
 
 def restore_campaign(state: JournalState) -> Tuple[Experiment, RunOptions]:
@@ -70,8 +50,8 @@ def restore_campaign(state: JournalState) -> Tuple[Experiment, RunOptions]:
         raise JournalError(f"journal {state.path} carries no manifest")
     experiment = Experiment.from_dict(state.manifest)
     opt_payload = state.options or {}
-    faults = _faults_from_payload(opt_payload.get("faults", {}))
-    retry = _retry_from_payload(opt_payload.get("retry", {}))
+    faults = FaultConfig.from_payload(opt_payload.get("faults", {}))
+    retry = RetryPolicy.from_payload(opt_payload.get("retry", {}))
     breaker = (BreakerPolicy.from_payload(opt_payload["breaker"])
                if "breaker" in opt_payload else BreakerPolicy())
     fallback = (FallbackLadder.from_payload(opt_payload["fallback"])
@@ -111,7 +91,8 @@ def resume_run(run_id: str, registry: Optional[RunRegistry] = None,
     resume idempotent.
 
     ``options`` may override *execution* knobs only (cache, jobs,
-    profiler); the resilience layer always comes from the journal.
+    profiler, watchdog); the resilience layer always comes from the
+    journal.
     ``engine`` is forwarded to :func:`repro.harness.runner.run_campaign`.
     """
     from dataclasses import replace
@@ -123,7 +104,8 @@ def resume_run(run_id: str, registry: Optional[RunRegistry] = None,
     experiment, restored = restore_campaign(state)
     if options is not None:
         restored = replace(restored, cache=options.cache,
-                           jobs=options.jobs, profiler=options.profiler)
+                           jobs=options.jobs, profiler=options.profiler,
+                           watchdog=options.watchdog)
     journal = reg.reopen(run_id)
     journal.resume_run(completed=state.done_cells, total=state.total_cells)
     restored = replace(restored, journal=journal,

@@ -131,24 +131,27 @@ def resolve_engine(engine: Optional[object], opts: "RunOptions",
       field) behaves like the matching string;
     * ``None`` with every engine knob unset (``mode``, ``opts.cache``,
       ``opts.jobs`` all ``None``) returns the process-wide default
-      engine, keeping the zero-configuration path shared and warm.
+      engine, keeping the zero-configuration path shared and warm;
+    * otherwise a fresh engine takes each knob from ``mode``/``opts`` if
+      set, else from the process-wide engine.
     """
-    from .engine import ENGINE_MODES, SweepEngine, default_engine
+    from .engine import ENGINE_MODES, ResultCache, SweepEngine, default_engine
     if isinstance(engine, SweepEngine):
         return engine
     if engine is None:
         engine = mode
-    if engine is None:
-        if opts.cache is None and opts.jobs is None:
-            return default_engine()
-        return SweepEngine.from_env(cache_enabled=opts.cache,
-                                    max_workers=opts.jobs)
-    if engine in ENGINE_MODES:
-        return SweepEngine.from_env(cache_enabled=opts.cache,
-                                    max_workers=opts.jobs, mode=engine)
-    raise ConfigError(
-        f"engine must be None, {', '.join(map(repr, ENGINE_MODES))} or a "
-        f"SweepEngine, got {engine!r}")
+    if engine is not None and engine not in ENGINE_MODES:
+        raise ConfigError(
+            f"engine must be None, {', '.join(map(repr, ENGINE_MODES))} or "
+            f"a SweepEngine, got {engine!r}")
+    base = default_engine()
+    if engine is None and opts.cache is None and opts.jobs is None:
+        return base
+    cache = base.cache is not None if opts.cache is None else opts.cache
+    return SweepEngine(
+        cache=ResultCache() if cache else None,
+        max_workers=base.max_workers if opts.jobs is None else opts.jobs,
+        mode=engine or base.mode)
 
 
 def run_campaign(spec: "CampaignSpec",
@@ -167,8 +170,8 @@ def run_campaign(spec: "CampaignSpec",
       :func:`repro.config.resolve_campaign_spec` for the precedence pass.
     * ``options`` is the *base* :class:`~repro.harness.engine.RunOptions`
       the spec's non-``None`` resilience fields overlay; ``None`` means
-      the process-wide default, itself seeded from the ``REPRO_FAULTS``
-      family of environment variables.  Callers that carry run state the
+      the process-wide default, itself resolved from the ``REPRO_FAULTS``
+      family of run settings.  Callers that carry run state the
       spec cannot express (a journal, a replay map — the resume path)
       pass it here.
     * ``engine`` overrides the spec's executor selection (instance or

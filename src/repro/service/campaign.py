@@ -35,8 +35,9 @@ from ..harness.engine.cell import (
     record_cell,
     run_cell,
 )
+from ..harness.engine.options import RunOptions
 from ..harness.engine.worker import failed_measurement
-from ..harness.results import Measurement, ResultSet
+from ..harness.results import ResultSet
 from .spec import CampaignSpec
 
 __all__ = ["CAMPAIGN_STATES", "Campaign", "CampaignExecution"]
@@ -118,32 +119,28 @@ class CampaignExecution:
     returns ``True`` while work remains; the step that completes the
     last cell finalizes the journal and returns ``False``.
 
-    ``service`` must provide the shared surface the execution leans on:
-    ``cache`` (shared :class:`ResultCache` or ``None``),
-    ``base_options`` (the options every spec overlays), ``lane_for``
-    (shared breaker lanes) and ``note_executed``/``dedup_origin``/
-    ``note_dedup`` (cross-campaign dedup provenance).
+    ``options`` are the campaign's :class:`RunOptions`, resolved once by
+    the service: at submit, or from the journal on recovery (with the
+    journal's replay maps).  ``service`` must provide the shared surface
+    the execution leans on: ``cache`` (shared :class:`ResultCache` or
+    ``None``), ``lane_for`` (shared breaker lanes) and
+    ``note_executed``/``dedup_origin``/``note_dedup`` (cross-campaign
+    dedup provenance).
     """
 
     def __init__(self, service, campaign: Campaign, journal,
-                 replay: Optional[Dict[str, Measurement]] = None,
-                 replay_meta: Optional[Dict[str, Dict[str, Any]]] = None,
-                 ) -> None:
+                 options: RunOptions) -> None:
         self.service = service
         self.campaign = campaign
         self.journal = journal
-        self._replay = dict(replay or {})
-        self._replay_meta = dict(replay_meta or {})
+        self.options = options
         self._plan: Optional[CellPlan] = None  # built by the first step
         self._next = 0
 
     # -- setup -------------------------------------------------------------
 
     def _start(self) -> None:
-        opts = replace(
-            self.campaign.spec.run_options(base=self.service.base_options()),
-            journal=self.journal, profiler=None, replay=self._replay,
-            replay_meta=self._replay_meta)
+        opts = replace(self.options, journal=self.journal, profiler=None)
         cache = self.service.cache if opts.cache is not False else None
         plan = CellPlan.build(self.campaign.spec.experiment, opts, cache)
         if plan.health is not None:

@@ -35,16 +35,16 @@ import os
 import sys
 import threading
 import time
+from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
 from ..chaos.plan import chaos_strike
 from ..errors import JournalError, OverloadError, ServiceError
 from ..harness.engine.cache import ResultCache
 from ..harness.engine.cell import CellPlan
-from ..harness.engine.options import RunOptions
 from ..harness.experiment import Experiment
 from ..harness.health import BreakerPolicy, LaneHealth
-from ..harness.journal import RunRegistry
+from ..harness.journal import RunRegistry, restore_campaign
 from ..harness.results import ResultSet
 from .campaign import Campaign, CampaignExecution
 from .scheduler import AdmissionPolicy, FairShareScheduler, OverloadPolicy
@@ -71,7 +71,6 @@ class CampaignService:
     def __init__(self, registry: Optional[RunRegistry] = None,
                  cache: Optional[ResultCache] = None,
                  policy: Optional[AdmissionPolicy] = None,
-                 options: Optional[RunOptions] = None,
                  overload: Optional[OverloadPolicy] = None) -> None:
         self.registry = registry if registry is not None else RunRegistry()
         self.cache = cache if cache is not None else ResultCache()
@@ -79,7 +78,6 @@ class CampaignService:
         self.overload = overload if overload is not None else OverloadPolicy()
         self.campaigns: Dict[str, Campaign] = {}
         self._executions: Dict[str, CampaignExecution] = {}
-        self._options = options
         self._lanes: Dict[str, LaneHealth] = {}
         #: Cell fingerprint -> campaign id that executed (and cached) it.
         self._origins: Dict[str, str] = {}
@@ -101,11 +99,6 @@ class CampaignService:
         self.shed_total = 0
 
     # -- shared surface for CampaignExecution ------------------------------
-
-    def base_options(self) -> Optional[RunOptions]:
-        """The options every campaign's spec overlays (None = process
-        default, i.e. the ``REPRO_FAULTS``-family environment)."""
-        return self._options
 
     def lane_for(self, lane_spec: str, policy: BreakerPolicy) -> LaneHealth:
         """The shared breaker lane for ``model@device`` across campaigns.
@@ -172,8 +165,12 @@ class CampaignService:
             run_id = self.registry.new_run_id()
             self.scheduler.submit(run_id, spec.tenant, spec.priority)
             try:
+                # Resolved once: the options the run-open record pins are
+                # the ones the campaign executes with.
+                options = spec.run_options()
                 journal = self.registry.create(run_id)
-                self._open_journal(journal, spec)
+                CellPlan.build(spec.experiment, options,
+                               cache=None).open_run(journal)
                 journal.campaign_state("queued", tenant=spec.tenant,
                                        priority=spec.priority,
                                        spec=spec_to_dict(spec))
@@ -184,7 +181,7 @@ class CampaignService:
                                 submitted_at=time.time())
             self.campaigns[run_id] = campaign
             self._executions[run_id] = CampaignExecution(
-                self, campaign, journal)
+                self, campaign, journal, options)
             if key is not None:
                 self._submission_keys[key] = run_id
             self.accepted_total += 1
@@ -233,13 +230,6 @@ class CampaignService:
         with self._lock:
             return self.overload.retry_after_s(self.scheduler.backlog)
 
-    def _open_journal(self, journal, spec: CampaignSpec) -> None:
-        # The run-open record is the one a dedicated engine run would
-        # write (the same plan writes it): resume and fsck read it with
-        # the same loaders either way.
-        CellPlan.build(spec.experiment, spec.run_options(base=self._options),
-                       cache=None).open_run(journal)
-
     # -- recovery -----------------------------------------------------------
 
     def recover(self) -> List[str]:
@@ -251,7 +241,11 @@ class CampaignService:
         scheduler (pre-admitted: they passed admission once), and arms
         the ordinary replay machinery so completed cells are served from
         the journal — the finished campaign's report is byte-identical
-        to an uninterrupted one.  Journals owned by another live process
+        to an uninterrupted one.  The run options come from the journal
+        through :func:`~repro.harness.journal.restore_campaign`, as for
+        ``repro run --resume``, never from this daemon's environment; a
+        journal that no longer fingerprints is quarantined with the
+        mismatch as its error.  Journals owned by another live process
         are left alone.
 
         The idempotency map is rebuilt from *every* service journal —
@@ -285,14 +279,6 @@ class CampaignService:
                 if self.registry.active_info(run_id) is not None:
                     continue  # another live daemon owns it
                 spec = spec_from_dict(payload)
-                self.scheduler.submit(run_id, spec.tenant, spec.priority,
-                                      preadmitted=True)
-                journal = self.registry.reopen(run_id)
-                journal.resume_run(completed=state.done_cells,
-                                   total=state.total_cells)
-                journal.campaign_state("queued", tenant=spec.tenant,
-                                       priority=spec.priority,
-                                       recovered=True)
                 # The deadline counts from the journal's birth, not the
                 # restart: daemon crashes must never extend a budget.
                 campaign = Campaign(campaign_id=run_id, spec=spec,
@@ -301,10 +287,25 @@ class CampaignService:
                                     or time.time())
                 campaign.cells_total = state.total_cells
                 self.campaigns[run_id] = campaign
+                journal = self.registry.reopen(run_id)
+                try:
+                    _, options = restore_campaign(state)
+                except JournalError as exc:
+                    campaign.cells_done = state.done_cells
+                    self._quarantine(run_id, str(exc), journal)
+                    continue
+                self.scheduler.submit(run_id, spec.tenant, spec.priority,
+                                      preadmitted=True)
+                journal.resume_run(completed=state.done_cells,
+                                   total=state.total_cells)
+                journal.campaign_state("queued", tenant=spec.tenant,
+                                       priority=spec.priority,
+                                       recovered=True)
                 self._executions[run_id] = CampaignExecution(
                     self, campaign, journal,
-                    replay=dict(state.completed),
-                    replay_meta=dict(state.outcomes))
+                    replace(options, cache=spec.cache,
+                            replay=dict(state.completed),
+                            replay_meta=dict(state.outcomes)))
                 recovered.append(run_id)
         return recovered
 
@@ -358,19 +359,22 @@ class CampaignService:
         # daemon-level recover() — completed cells replay, the record
         # stream and final report stay byte-identical.
         campaign = self.campaigns[campaign_id]
+        crashed = self._executions[campaign_id]
         reason = f"{type(exc).__name__}: {exc}"
         if campaign.restarts >= MAX_CAMPAIGN_RESTARTS:
             return self._quarantine(
                 campaign_id,
-                f"{reason} (restart budget {MAX_CAMPAIGN_RESTARTS} spent)")
-        self._executions[campaign_id].journal.close()
+                f"{reason} (restart budget {MAX_CAMPAIGN_RESTARTS} spent)",
+                crashed.journal)
+        crashed.journal.close()
         try:
             state = self.registry.load(campaign_id)
             journal = self.registry.reopen(campaign_id)
         except (JournalError, OSError) as load_exc:
             return self._quarantine(
                 campaign_id,
-                f"{reason}; journal unreadable on restart: {load_exc}")
+                f"{reason}; journal unreadable on restart: {load_exc}",
+                crashed.journal)
         campaign.restarts += 1
         self.restarts_total += 1
         print(f"repro: service: campaign {campaign_id} crashed ({reason}); "
@@ -389,20 +393,20 @@ class CampaignService:
         campaign.results = None
         self._executions[campaign_id] = CampaignExecution(
             self, campaign, journal,
-            replay=dict(state.completed),
-            replay_meta=dict(state.outcomes))
+            replace(crashed.options, replay=dict(state.completed),
+                    replay_meta=dict(state.outcomes)))
         return True
 
-    def _quarantine(self, campaign_id: str, reason: str) -> bool:
+    def _quarantine(self, campaign_id: str, reason: str, journal) -> bool:
         # Terminal supervision state: the campaign keeps crashing the
-        # stepping thread, so it is retired as failed and parked where
-        # recover() will not resurrect it — other tenants' campaigns
-        # (and the daemon itself) keep running.
+        # stepping thread (or its journal no longer fingerprints), so it
+        # is retired as failed and parked where recover() will not
+        # resurrect it — other tenants' campaigns (and the daemon
+        # itself) keep running.
         campaign = self.campaigns[campaign_id]
         campaign.state = "quarantined"
         campaign.error = reason
         self.quarantined_total += 1
-        journal = self._executions[campaign_id].journal
         try:
             journal.campaign_state("quarantined",
                                    tenant=campaign.spec.tenant,

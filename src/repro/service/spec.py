@@ -48,7 +48,7 @@ from ..harness.experiment import Experiment
 from ..harness.engine.executor import ENGINE_MODES
 from ..harness.engine.options import RetryPolicy, RunOptions
 from ..harness.health import BreakerPolicy, FallbackLadder
-from ..sim.faults import FaultConfig, FaultKind
+from ..sim.faults import FaultConfig
 
 __all__ = [
     "SPEC_VERSION",
@@ -105,34 +105,7 @@ class CampaignSpec:
     submission_key: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.engine is not None and self.engine not in ENGINE_MODES:
-            raise ConfigError(
-                f"engine must be one of {'/'.join(ENGINE_MODES)} or "
-                f"None, got {self.engine!r}")
-        if self.jobs is not None and self.jobs < 1:
-            raise ConfigError(f"jobs {self.jobs} < 1")
-        if not self.tenant or not isinstance(self.tenant, str):
-            raise ConfigError("tenant must be a non-empty string")
-        if any(c in self.tenant for c in " \t\n/"):
-            raise ConfigError(
-                f"tenant {self.tenant!r} may not contain whitespace or '/'")
-        if not isinstance(self.priority, int) or isinstance(self.priority,
-                                                            bool):
-            raise ConfigError(f"priority {self.priority!r} must be an int")
-        if self.deadline_s is not None:
-            if (isinstance(self.deadline_s, bool)
-                    or not isinstance(self.deadline_s, (int, float))
-                    or not self.deadline_s > 0):
-                raise ConfigError(
-                    f"deadline_s {self.deadline_s!r} must be a positive "
-                    f"number of seconds")
-        if self.submission_key is not None:
-            if (not isinstance(self.submission_key, str)
-                    or not self.submission_key
-                    or any(c.isspace() for c in self.submission_key)):
-                raise ConfigError(
-                    f"submission_key {self.submission_key!r} must be a "
-                    f"non-empty string without whitespace")
+        check_spec_fields(self.__dict__)
 
     # -- lowering to RunOptions -------------------------------------------
 
@@ -180,36 +153,45 @@ class CampaignSpec:
                 f"priority={self.priority}{extra}")
 
 
+def check_spec_fields(fields: Dict[str, Any]) -> None:
+    """Raise :class:`ConfigError` unless ``fields`` holds valid values for
+    the :class:`CampaignSpec` fields it validates (engine, jobs, tenant,
+    priority, deadline_s, submission_key)."""
+    engine = fields.get("engine")
+    if engine is not None and engine not in ENGINE_MODES:
+        raise ConfigError(
+            f"engine must be one of {'/'.join(ENGINE_MODES)} or "
+            f"None, got {engine!r}")
+    jobs = fields.get("jobs")
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"jobs {jobs} < 1")
+    tenant = fields.get("tenant")
+    if not tenant or not isinstance(tenant, str):
+        raise ConfigError("tenant must be a non-empty string")
+    if any(c in tenant for c in " \t\n/"):
+        raise ConfigError(
+            f"tenant {tenant!r} may not contain whitespace or '/'")
+    priority = fields.get("priority")
+    if not isinstance(priority, int) or isinstance(priority, bool):
+        raise ConfigError(f"priority {priority!r} must be an int")
+    deadline = fields.get("deadline_s")
+    if deadline is not None:
+        if (isinstance(deadline, bool)
+                or not isinstance(deadline, (int, float))
+                or not deadline > 0):
+            raise ConfigError(
+                f"deadline_s {deadline!r} must be a positive "
+                f"number of seconds")
+    key = fields.get("submission_key")
+    if key is not None:
+        if (not isinstance(key, str) or not key
+                or any(c.isspace() for c in key)):
+            raise ConfigError(
+                f"submission_key {key!r} must be a "
+                f"non-empty string without whitespace")
+
+
 # -- codec ----------------------------------------------------------------
-
-def _retry_payload(retry: RetryPolicy) -> Dict[str, Any]:
-    return {
-        "max_attempts": retry.max_attempts,
-        "backoff_base_s": retry.backoff_base_s,
-        "backoff_factor": retry.backoff_factor,
-        "max_cell_seconds": retry.max_cell_seconds,
-    }
-
-
-def _retry_from_payload(payload: Dict[str, Any]) -> RetryPolicy:
-    budget = payload.get("max_cell_seconds")
-    return RetryPolicy(
-        max_attempts=int(payload.get("max_attempts", 1)),
-        backoff_base_s=float(payload.get("backoff_base_s", 0.5)),
-        backoff_factor=float(payload.get("backoff_factor", 2.0)),
-        max_cell_seconds=float(budget) if budget is not None else None,
-    )
-
-
-def _faults_from_payload(payload: Dict[str, Any]) -> FaultConfig:
-    return FaultConfig(
-        rate=float(payload.get("rate", 0.0)),
-        seed=int(payload.get("seed", 2023)),
-        kinds=tuple(FaultKind(k) for k in payload.get(
-            "kinds", [k.value for k in FaultKind])),
-        always=tuple(payload.get("always", ())),
-    )
-
 
 def spec_to_dict(spec: CampaignSpec) -> Dict[str, Any]:
     """Serialize one spec (sparse: unset fields are omitted)."""
@@ -228,7 +210,7 @@ def spec_to_dict(spec: CampaignSpec) -> Dict[str, Any]:
     if spec.faults is not None:
         out["faults"] = spec.faults.payload()
     if spec.retry is not None:
-        out["retry"] = _retry_payload(spec.retry)
+        out["retry"] = spec.retry.payload()
     if spec.fail_fast is not None:
         out["fail_fast"] = spec.fail_fast
     if spec.breaker is not None:
@@ -282,9 +264,9 @@ def spec_from_dict(data: Dict[str, Any]) -> CampaignSpec:
         engine=engine,
         jobs=int(jobs) if jobs is not None else None,
         cache=(bool(data["cache"]) if "cache" in data else None),
-        faults=(_faults_from_payload(data["faults"])
+        faults=(FaultConfig.from_payload(data["faults"])
                 if "faults" in data else None),
-        retry=(_retry_from_payload(data["retry"])
+        retry=(RetryPolicy.from_payload(data["retry"])
                if "retry" in data else None),
         fail_fast=(bool(data["fail_fast"]) if "fail_fast" in data else None),
         breaker=(BreakerPolicy.from_payload(data["breaker"])

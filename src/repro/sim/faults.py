@@ -171,6 +171,17 @@ class FaultConfig:
             "always": list(self.always),
         }
 
+    @classmethod
+    def from_payload(cls, payload: dict) -> "FaultConfig":
+        """Inverse of :meth:`payload` (the journal-restore path)."""
+        return cls(
+            rate=float(payload.get("rate", 0.0)),
+            seed=int(payload.get("seed", 2023)),
+            kinds=tuple(FaultKind(k) for k in payload.get(
+                "kinds", [k.value for k in FaultKind])),
+            always=tuple(payload.get("always", ())),
+        )
+
     def describe(self) -> str:
         if not self.enabled:
             return "faults disabled"

@@ -99,3 +99,112 @@ class TestHygiene:
         cfg = RunConfig({"A": "1", "B": "2"})
         assert len(cfg) == 2
         assert sorted(cfg) == ["A", "B"]
+
+
+# --------------------------------------------------------------------------
+# the one settings pass: every reader of the REPRO_* run settings agrees
+# --------------------------------------------------------------------------
+
+#: Per run setting: one valid and one invalid value.
+SETTING_VALUES = {
+    "REPRO_CACHE": ("off", "maybe"),
+    "REPRO_JOBS": ("2", "0"),
+    "REPRO_ENGINE": ("process", "thread"),
+    "REPRO_FAULTS": ("rate=0.2,seed=7", "rate=2"),
+    "REPRO_RETRIES": ("3", "-1"),
+    "REPRO_BACKOFF": ("0.25", "soon"),
+    "REPRO_MAX_CELL_SECONDS": ("60", "-5"),
+    "REPRO_FAIL_FAST": ("1", "maybe"),
+    "REPRO_BREAKER": ("threshold=3,cooldown=60", "threshold=x"),
+    "REPRO_FALLBACK": ("numba@gpu=numba@cpu+reference", "numba"),
+    "REPRO_JOURNAL": ("off", "maybe"),
+    "REPRO_WATCHDOG": ("timeout=30,respawns=2", "timeout=-1"),
+    "REPRO_TENANT": ("ci", "a b"),
+    "REPRO_PRIORITY": ("5", "urgent"),
+    "REPRO_DEADLINE": ("600", "tomorrow"),
+    "REPRO_SUBMISSION_KEY": ("key-1", "a b"),
+    "REPRO_CLIENT_RETRIES": ("4", "many"),
+}
+
+#: REPRO_* variables read where they are used, not by the settings pass.
+NOT_RUN_SETTINGS = {"REPRO_CACHE_DIR", "REPRO_RUNS_DIR",
+                    "REPRO_SERVICE_SOCKET", "REPRO_CHAOS_PLAN"}
+
+
+def test_every_run_setting_has_agreement_values():
+    run_settings = {name for name in KNOWN_VARIABLES
+                    if name.startswith("REPRO_")} - NOT_RUN_SETTINGS
+    assert set(SETTING_VALUES) == run_settings
+
+
+def _spec_side(environ):
+    from repro.config import resolve_campaign_spec
+    from repro.core.types import DeviceKind, Precision
+    from repro.harness.experiment import Experiment
+    exp = Experiment(exp_id="cfg", title="settings", node_name="Crusher",
+                     device=DeviceKind.CPU, precision=Precision.FP64,
+                     models=("julia",), sizes=(256,), threads=64, reps=3)
+    return resolve_campaign_spec(exp, environ=environ)
+
+
+def _process_side(name, raw, monkeypatch):
+    from repro.harness.engine import (default_engine, default_run_options,
+                                      reset_default_engine,
+                                      reset_default_run_options)
+    for var in SETTING_VALUES:
+        monkeypatch.delenv(var, raising=False)
+    if raw is not None:
+        monkeypatch.setenv(name, raw)
+    reset_default_engine()
+    reset_default_run_options()
+    try:
+        return default_run_options(), default_engine()
+    finally:
+        reset_default_engine()
+        reset_default_run_options()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except ConfigError as exc:
+        return None, exc
+
+
+@pytest.mark.parametrize("which", ["empty", "valid", "invalid"])
+@pytest.mark.parametrize("name", sorted(SETTING_VALUES))
+def test_spec_and_process_defaults_agree(name, which, monkeypatch):
+    from dataclasses import replace
+
+    from repro.harness.engine import RunOptions
+
+    raw = {"empty": "", "valid": SETTING_VALUES[name][0],
+           "invalid": SETTING_VALUES[name][1]}[which]
+    spec, spec_error = _outcome(_spec_side, {name: raw})
+    process, process_error = _outcome(_process_side, name, raw, monkeypatch)
+    assert (spec_error is None) == (process_error is None), \
+        (spec_error, process_error)
+    assert (spec_error is None) == (which != "invalid")
+    if spec_error is not None:
+        return
+    options, engine = process
+    assert spec.run_options(base=RunOptions(watchdog=options.watchdog)) \
+        == replace(options, cache=spec.cache, jobs=spec.jobs)
+    assert engine.mode == (spec.engine or "serial")
+    assert engine.max_workers == spec.jobs
+    assert (engine.cache is not None) == (spec.cache is not False)
+    if which == "empty":
+        # An empty value means unset, for every reader.
+        assert spec == _spec_side({})
+        unset_options, unset_engine = _process_side(name, None, monkeypatch)
+        assert options == unset_options
+        assert (engine.mode, engine.max_workers, engine.cache is None) == (
+            unset_engine.mode, unset_engine.max_workers,
+            unset_engine.cache is None)
+
+
+@pytest.mark.parametrize("name", sorted(SETTING_VALUES))
+def test_empty_value_means_unset(name):
+    from repro.config import resolve_run_settings
+    assert resolve_run_settings(environ={name: ""}) \
+        == resolve_run_settings(environ={})

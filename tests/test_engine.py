@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.types import DeviceKind, Precision
 from repro.errors import ConfigError, RetryExhaustedError
-from repro.harness import Experiment, run_campaign
+from repro.harness import Experiment, resolve_engine, run_campaign
 from repro.harness.export import result_set_to_json
 from repro.harness.engine import (
     CONSTANTS_VERSION,
@@ -428,41 +428,50 @@ class TestObservability:
         assert "[cache]" in engine.last_report.render()
 
 
+@pytest.fixture
+def env_engine(monkeypatch):
+    """The process-wide engine built from the given ``REPRO_*`` values."""
+    def build(**env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        reset_default_engine()
+        return default_engine()
+    yield build
+    reset_default_engine()
+
+
 class TestEnvironmentConfig:
-    def test_cache_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "off")
-        engine = SweepEngine.from_env()
-        assert engine.cache is None
+    """``REPRO_CACHE``/``REPRO_JOBS``/``REPRO_ENGINE`` through the one
+    settings pass that builds the process-wide engine."""
 
-    def test_jobs_one_forces_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "1")
-        engine = SweepEngine.from_env()
-        assert engine.parallel is False
+    def test_cache_off(self, env_engine):
+        assert env_engine(REPRO_CACHE="off").cache is None
 
-    def test_engine_mode_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "process")
-        engine = SweepEngine.from_env()
+    def test_jobs_one_forces_serial(self, env_engine):
+        assert env_engine(REPRO_JOBS="1").parallel is False
+
+    def test_engine_mode_from_env(self, env_engine):
+        engine = env_engine(REPRO_ENGINE="process")
         assert engine.mode == "process"
-        assert SweepEngine.from_env(mode="serial").mode == "serial"
+        # an explicit mode beats the environment
+        explicit = resolve_engine("serial", RunOptions())
+        assert explicit.mode == "serial"
 
-    def test_engine_mode_default_is_serial(self, monkeypatch):
+    def test_engine_mode_default_is_serial(self, env_engine, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        engine = SweepEngine.from_env()
+        engine = env_engine()
         assert engine.mode == "serial" and engine.parallel is False
 
-    def test_retired_thread_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "thread")
+    def test_retired_thread_mode_rejected(self, env_engine):
         with pytest.raises(ConfigError, match="serial/process"):
-            SweepEngine.from_env()
+            env_engine(REPRO_ENGINE="thread")
 
-    def test_engine_mode_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "quantum")
+    def test_engine_mode_invalid_env_rejected(self, env_engine):
         with pytest.raises(ConfigError):
-            SweepEngine.from_env()
+            env_engine(REPRO_ENGINE="quantum")
 
-    def test_cache_dir_relocation(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
-        engine = SweepEngine.from_env()
+    def test_cache_dir_relocation(self, tmp_path, env_engine):
+        engine = env_engine(REPRO_CACHE_DIR=str(tmp_path / "elsewhere"))
         assert engine.cache.root == str(tmp_path / "elsewhere")
 
     def test_default_engine_is_process_wide(self, fresh_default_engine):

@@ -439,7 +439,11 @@ class TestUnifiedApi:
         monkeypatch.setenv("REPRO_BACKOFF", "0.25")
         monkeypatch.setenv("REPRO_MAX_CELL_SECONDS", "60")
         monkeypatch.setenv("REPRO_FAIL_FAST", "1")
-        opts = RunOptions.from_env()
+        reset_default_run_options()
+        try:
+            opts = default_run_options()
+        finally:
+            reset_default_run_options()
         assert opts.faults.rate == 0.2 and opts.faults.seed == 9
         assert opts.retry.max_attempts == 4
         assert opts.retry.backoff_base_s == 0.25
@@ -448,19 +452,26 @@ class TestUnifiedApi:
 
     def test_options_env_defaults_are_benign(self, monkeypatch):
         for var in ("REPRO_FAULTS", "REPRO_RETRIES", "REPRO_BACKOFF",
-                    "REPRO_MAX_CELL_SECONDS", "REPRO_FAIL_FAST"):
+                    "REPRO_MAX_CELL_SECONDS", "REPRO_FAIL_FAST",
+                    "REPRO_BREAKER", "REPRO_FALLBACK", "REPRO_WATCHDOG"):
             monkeypatch.delenv(var, raising=False)
-        opts = RunOptions.from_env()
+        reset_default_run_options()
+        try:
+            opts = default_run_options()
+        finally:
+            reset_default_run_options()
         assert not opts.resilient
         assert opts == RunOptions()
 
     def test_bad_env_retries_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "many")
-        with pytest.raises(ConfigError):
-            RunOptions.from_env()
-        monkeypatch.setenv("REPRO_RETRIES", "-1")
-        with pytest.raises(ConfigError):
-            RunOptions.from_env()
+        for raw in ("many", "-1"):
+            monkeypatch.setenv("REPRO_RETRIES", raw)
+            reset_default_run_options()
+            try:
+                with pytest.raises(ConfigError):
+                    default_run_options()
+            finally:
+                reset_default_run_options()
 
     def test_default_run_options_process_wide(self, monkeypatch):
         from repro.harness.engine import set_default_run_options

@@ -513,6 +513,83 @@ class TestServiceRecovery:
         svc2 = CampaignService(registry=registry, cache=cache)
         assert svc2.recover() == []
 
+    def test_recover_restores_options_from_the_journal(self, store,
+                                                       monkeypatch):
+        # The submitting daemon ran with faults; the recovering one does
+        # not.  The journal pins the faults, so the finished report is the
+        # uninterrupted faulted run's, not the fault-free one.
+        from repro.harness.engine import RunOptions, reset_default_run_options
+        registry, cache = store
+        spec = CampaignSpec(
+            experiment=small_exp(exp_id="re-faults",
+                                 models=("julia", "numba", "kokkos")),
+            cache=False, tenant="alice")
+        faults = FaultConfig.parse("rate=0.5,seed=3")
+        faulted = result_set_to_json(run_campaign(
+            spec, engine=SweepEngine(cache=None),
+            options=RunOptions(faults=faults)))
+        assert faulted != result_set_to_json(run_campaign(
+            spec, engine=SweepEngine(cache=None)))
+
+        monkeypatch.setenv("REPRO_FAULTS", "rate=0.5,seed=3")
+        reset_default_run_options()
+        try:
+            svc1 = CampaignService(registry=registry, cache=cache)
+            cid = svc1.submit(spec)
+            for _ in range(3):  # 3 of 6 cells
+                assert svc1.step()
+            svc1.suspend()  # releases the ACTIVE sidecar
+            monkeypatch.delenv("REPRO_FAULTS")
+            reset_default_run_options()
+
+            svc2 = CampaignService(registry=registry, cache=cache)
+            assert svc2.recover() == [cid]
+            svc2.run_until_idle()
+        finally:
+            reset_default_run_options()
+        assert svc2.campaigns[cid].state == "done"
+        assert svc2.campaigns[cid].stats["replayed"] == 3
+        assert result_set_to_json(svc2.result_set(cid)) == faulted
+
+    def test_recover_quarantines_a_journal_that_no_longer_fingerprints(
+            self, store):
+        import json
+
+        from repro.harness.journal.journal import _record_checksum
+        registry, cache = store
+        svc1 = CampaignService(registry=registry, cache=cache)
+        spec_b = small_spec(tenant="bob", exp_id="re-fp-b")
+        id_a = svc1.submit(small_spec(tenant="alice", exp_id="re-fp-a"))
+        id_b = svc1.submit(spec_b)
+        for _ in range(2):
+            assert svc1.step()
+        svc1.suspend()
+        # Rewrite alice's run-open record under another campaign
+        # fingerprint, as a build with different constants would see it.
+        path = registry.path_for(id_a)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        record = json.loads(lines[0])
+        assert record["type"] == "run-open"
+        record["data"]["campaign"] = "0" * 64
+        record["chk"] = _record_checksum(record["seq"], record["type"],
+                                         record["data"])
+        lines[0] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+        svc2 = CampaignService(registry=registry, cache=cache)
+        assert svc2.recover() == [id_b]
+        quarantined = svc2.campaigns[id_a]
+        assert quarantined.state == "quarantined"
+        assert "fingerprint" in quarantined.error
+        assert svc2.health_state() == "degraded"
+        svc2.run_until_idle()
+        assert svc2.campaigns[id_b].state == "done"
+        assert render_result_set(svc2.result_set(id_b)) == solo_render(spec_b)
+        # The quarantine is durable: a later daemon leaves it parked.
+        assert CampaignService(registry=registry, cache=cache).recover() == []
+
     def test_submit_is_durable_before_any_execution(self, store):
         registry, cache = store
         svc1 = CampaignService(registry=registry, cache=cache)
@@ -1200,21 +1277,20 @@ class TestCliService:
             thread.join(timeout=30)
         assert not thread.is_alive()
 
-    def test_client_retries_resolution(self, monkeypatch):
-        import argparse
+    def test_client_retries_resolution(self):
+        from repro.config import resolve_run_settings
 
-        from repro.cli import _client_retries
+        def retries(cli=None, **environ):
+            return resolve_run_settings(
+                cli=cli, environ=environ)["client_retries"]
 
-        ns = argparse.Namespace(client_retries=None)
-        monkeypatch.delenv("REPRO_CLIENT_RETRIES", raising=False)
-        assert _client_retries(ns) == 0
-        monkeypatch.setenv("REPRO_CLIENT_RETRIES", "5")
-        assert _client_retries(ns) == 5
+        assert retries() == 0
+        assert retries(REPRO_CLIENT_RETRIES="5") == 5
         # the flag beats the environment
-        assert _client_retries(argparse.Namespace(client_retries=2)) == 2
-        monkeypatch.setenv("REPRO_CLIENT_RETRIES", "many")
+        assert retries({"client_retries": 2}, REPRO_CLIENT_RETRIES="5") == 2
         with pytest.raises(ConfigError):
-            _client_retries(ns)
-        monkeypatch.setenv("REPRO_CLIENT_RETRIES", "-1")
+            retries(REPRO_CLIENT_RETRIES="many")
         with pytest.raises(ConfigError):
-            _client_retries(ns)
+            retries(REPRO_CLIENT_RETRIES="-1")
+        with pytest.raises(ConfigError):
+            retries({"client_retries": -1})
