@@ -8,10 +8,10 @@ cross-campaign dedup should serve the second tenant's shared cells from
 the first tenant's results) — plus the overload-robustness paths: the
 shed decision a saturated daemon takes per submission attempt, the
 idempotent answer a retried keyed submit converges on, and the latency
-of expiring a deadline-lapsed campaign through the degraded path — and
-writes the numbers to ``BENCH_service.json`` (re-run via
-``make bench-service`` after touching ``src/repro/service`` to see
-regressions).
+of expiring a deadline-lapsed campaign through the degraded path, and
+the wake latency of a long-polling ``wait`` — and writes the numbers to
+``BENCH_service.json`` (re-run via ``make bench-service`` after touching
+``src/repro/service`` to see regressions).
 
 The dedup section records the hit rate alongside cells/sec: a regression
 that silently stops deduping would *look* fine on wall time for small
@@ -44,9 +44,11 @@ from repro.harness.experiment import Experiment             # noqa: E402
 from repro.harness.journal import RunRegistry               # noqa: E402
 from repro.service import (                                 # noqa: E402
     AdmissionPolicy,
+    CampaignDaemon,
     CampaignService,
     CampaignSpec,
     FairShareScheduler,
+    ServiceClient,
     TenantQuota,
 )
 
@@ -269,6 +271,80 @@ def bench_deadline(reps: int, workdir: str) -> "dict[str, object]":
     }
 
 
+class _WakeTimedService(CampaignService):
+    """Stamps every wake-up of long-polls (each follows a retiring
+    grant as soon as it releases the service lock)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.woken_at = 0.0
+
+    def wake_waiters(self) -> None:
+        self.woken_at = time.perf_counter()
+        super().wake_waiters()
+
+
+class _PollCountingClient(ServiceClient):
+    """Counts ``campaign()`` calls: the polls one ``wait`` makes."""
+
+    polls = 0
+
+    def campaign(self, campaign_id, wait=None):
+        self.polls += 1
+        return super().campaign(campaign_id, wait=wait)
+
+
+def bench_wake(campaigns: int, reps: int,
+               workdir: str) -> "dict[str, object]":
+    """Wake latency of ``wait``: from the grant that retires a campaign
+    to the client's ``wait`` returning, through a live daemon on a Unix
+    socket (same process, its own scheduler thread).  A long-polling
+    client is answered when the campaign finishes, so this is a round
+    trip, not a poll interval; ``polls_per_wait`` stays at 1."""
+    import statistics
+    import threading
+
+    lags = []
+    polls = waits = 0
+    for rep in range(reps):
+        root = os.path.join(workdir, f"wake-{rep}")
+        service = _WakeTimedService(
+            registry=RunRegistry(os.path.join(root, "runs")),
+            cache=ResultCache(os.path.join(root, "cache")))
+        daemon = CampaignDaemon(service=service,
+                                socket_path=os.path.join(root, "wake.sock"))
+        loop = threading.Thread(target=daemon.serve,
+                                kwargs={"install_signals": False},
+                                daemon=True)
+        loop.start()
+        client = _PollCountingClient(daemon.socket_path)
+        try:
+            for i in range(campaigns):
+                spec = CampaignSpec(experiment=Experiment(
+                    exp_id=f"wake-{rep}-{i}", title="wake benchmark",
+                    node_name="Crusher", device=DeviceKind.CPU,
+                    precision=Precision.FP64, models=("julia",),
+                    sizes=(256 + 64 * i,), threads=64, reps=3))
+                row = client.wait(client.submit(spec), timeout=60)
+                returned = time.perf_counter()
+                if row["state"] != "done":
+                    raise RuntimeError(f"wake campaign ended "
+                                       f"{row['state']!r}, expected 'done'")
+                lags.append(returned - service.woken_at)
+                waits += 1
+            polls += client.polls
+        finally:
+            daemon.request_shutdown()
+            loop.join(timeout=30)
+        shutil.rmtree(root, ignore_errors=True)
+    return {
+        "waits": waits,
+        "polls_per_wait": round(polls / waits, 3) if waits else 0.0,
+        "wake_ms_p50": round(statistics.median(lags) * 1e3, 3),
+        "wake_ms_max": round(max(lags) * 1e3, 3),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=3,
@@ -321,6 +397,12 @@ def main(argv=None) -> int:
         print(f"deadline    {result['expiries_per_s']:>12} cell expiries/s "
               f"({result['cells']} cells expired in "
               f"{result['seconds']*1e3:.1f} ms)")
+
+        result = bench_wake(10, args.reps, workdir)
+        payload["sections"]["wake"] = result
+        print(f"wake        {result['wake_ms_p50']:>12} ms p50 "
+              f"(grant retiring a campaign -> wait() returns; "
+              f"{result['polls_per_wait']:g} polls/wait)")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

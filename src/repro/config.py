@@ -45,7 +45,8 @@ KNOWN_VARIABLES: Dict[str, str] = {
     "REPRO_ENGINE": "sweep executor: serial (default) or process",
     "REPRO_FAULTS": "fault-injection spec (e.g. rate=0.2,seed=7,always=numba@512)",
     "REPRO_RETRIES": "retries per sweep cell after a fault (default 0)",
-    "REPRO_BACKOFF": "base simulated backoff seconds between retries",
+    "REPRO_BACKOFF": "base simulated backoff seconds between retries "
+                     "(0 retries at once)",
     "REPRO_MAX_CELL_SECONDS": "per-cell simulated-time budget for retries",
     "REPRO_FAIL_FAST": "abort the sweep on the first permanent cell failure",
     "REPRO_BREAKER": "circuit-breaker spec (e.g. threshold=3,cooldown=300)",
@@ -134,10 +135,11 @@ class RunConfig:
                 + ("positive" if minimum == 1 else f">= {minimum}"))
         return value
 
-    def get_float(self, name: str,
-                  default: Optional[float] = None) -> Optional[float]:
-        """Positive-float accessor; the default passes through untyped so
-        callers can use ``None`` for "unset"."""
+    def get_float(self, name: str, default: Optional[float] = None,
+                  allow_zero: bool = False) -> Optional[float]:
+        """Positive-float accessor (``allow_zero``: non-negative); the
+        default passes through untyped so callers can use ``None`` for
+        "unset"."""
         raw = self.env.get(name)
         if raw is None:
             return default
@@ -145,8 +147,10 @@ class RunConfig:
             value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"{name}={raw!r} is not a number") from exc
-        if value <= 0:
-            raise ConfigError(f"{name}={value} must be positive")
+        if not (value > 0 or (allow_zero and value == 0)):  # NaN too
+            raise ConfigError(
+                f"{name}={value} must be "
+                + ("non-negative" if allow_zero else "positive"))
         return value
 
     def get_bool(self, name: str,
@@ -289,7 +293,7 @@ def resolve_run_settings(cli: Optional[Mapping[str, object]] = None,
                    lambda var: env.get_int(var, None, minimum=0))
     if retries is not None and retries < 0:
         raise ConfigError(f"retries {retries} must be >= 0")
-    backoff = env.get_float("REPRO_BACKOFF")
+    backoff = env.get_float("REPRO_BACKOFF", allow_zero=True)
     budget = pick("max_cell_seconds", "REPRO_MAX_CELL_SECONDS",
                   env.get_float)
     retry = None

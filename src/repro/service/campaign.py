@@ -40,7 +40,8 @@ from ..harness.engine.worker import failed_measurement
 from ..harness.results import ResultSet
 from .spec import CampaignSpec
 
-__all__ = ["CAMPAIGN_STATES", "Campaign", "CampaignExecution"]
+__all__ = ["CAMPAIGN_STATES", "TERMINAL_STATES", "Campaign",
+           "CampaignExecution"]
 
 #: Service-lifecycle states a campaign walks through, in order (FAILED
 #: replaces DONE when a fail-fast cell aborts it; EXPIRED replaces DONE
@@ -51,6 +52,9 @@ __all__ = ["CAMPAIGN_STATES", "Campaign", "CampaignExecution"]
 #: past its restart budget).
 CAMPAIGN_STATES = ("queued", "admitted", "running", "done", "failed",
                    "expired", "quarantined")
+
+#: The states a campaign never leaves: the scheduler has retired it.
+TERMINAL_STATES = ("done", "failed", "expired", "quarantined")
 
 
 @dataclass

@@ -52,6 +52,11 @@ _ERROR_KINDS = {
 #: Campaign states past which ``wait`` stops polling.
 _TERMINAL_STATES = ("done", "failed", "expired", "quarantined")
 
+#: Longest one long-poll of ``wait`` asks the daemon to park (s); it is
+#: also held under half the request timeout, so the socket never times
+#: out on a parked request.
+_LONG_POLL_S = 10.0
+
 
 @dataclass(frozen=True)
 class ClientPolicy:
@@ -243,9 +248,15 @@ class ServiceClient:
         """Status rows of every campaign the daemon knows."""
         return list(self._request("GET", "/v1/campaigns")["campaigns"])
 
-    def campaign(self, campaign_id: str) -> Dict[str, Any]:
-        """One campaign's status row."""
-        return self._request("GET", f"/v1/campaigns/{campaign_id}")
+    def campaign(self, campaign_id: str,
+                 wait: Optional[float] = None) -> Dict[str, Any]:
+        """One campaign's status row.
+
+        With ``wait`` (seconds) the daemon long-polls: it answers once
+        the campaign is terminal or ``wait`` elapses, whichever is first.
+        """
+        query = "" if wait is None else f"?wait={wait:.3f}"
+        return self._request("GET", f"/v1/campaigns/{campaign_id}{query}")
 
     def report(self, campaign_id: str, fmt: str = "text") -> str:
         """A finished campaign's rendered report (text or export JSON)."""
@@ -270,16 +281,26 @@ class ServiceClient:
         supervisor exhausted its restart budget) — waiting on a
         quarantined campaign would otherwise spin until timeout.
 
-        Polling starts at ``poll_s`` and backs off exponentially to 1 s
-        (capped), honouring any ``Retry-After`` the daemon sheds
-        status polls with — a thousand waiting clients must not be a
+        Each poll is a long-poll (``campaign(..., wait=...)``, at most
+        10 s and under half the request timeout): the daemon answers
+        when the campaign finishes, not at the client's next poll.
+        Polls start at least ``poll_s`` apart, a spacing that backs off
+        exponentially to 1 s; a long-poll that parked that long is
+        followed at once.  A daemon that answers at once — one that
+        ignores ``wait``, or one with every long-poll slot taken —
+        therefore gets paced polls.  Shed polls (``OverloadError``,
+        e.g. a draining daemon's 503) honour the daemon's
+        ``Retry-After`` — a thousand waiting clients must not be a
         busy-loop storm.
         """
         deadline = time.monotonic() + timeout
+        cap = min(_LONG_POLL_S, self.policy.request_timeout_s / 2)
         delay = poll_s
         while True:
+            started = time.monotonic()
             try:
-                row = self.campaign(campaign_id)
+                row = self.campaign(
+                    campaign_id, wait=max(0.0, min(deadline - started, cap)))
             except OverloadError as exc:
                 if time.monotonic() >= deadline:
                     raise
@@ -299,5 +320,5 @@ class ServiceClient:
                 raise ServiceError(
                     f"campaign {campaign_id} did not finish within "
                     f"{timeout:g}s (state {row.get('state')!r})")
-            time.sleep(delay)
+            time.sleep(max(0.0, delay - (time.monotonic() - started)))
             delay = min(delay * 2.0, 1.0)

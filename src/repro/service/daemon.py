@@ -18,7 +18,12 @@ POST   ``/v1/campaigns``              body = CampaignSpec JSON; 202 ``{"id"}``,
                                       under load, 503 + ``Retry-After`` while
                                       draining
 GET    ``/v1/campaigns``              every campaign's status row
-GET    ``/v1/campaigns/<id>``         one campaign's status row
+GET    ``/v1/campaigns/<id>``         one campaign's status row;
+                                      ``?wait=S`` long-polls: answers when
+                                      the campaign is terminal or after S
+                                      seconds (at most 60), 503 +
+                                      ``Retry-After`` if the daemon starts
+                                      draining first
 GET    ``/v1/campaigns/<id>/report``  finished campaign's report;
                                       ``?format=text|json`` (default text)
 GET    ``/v1/status``                 scheduler/tenant/dedup/cache snapshot
@@ -32,7 +37,10 @@ Overload behaviour: handler-thread concurrency is bounded (ThreadingMixIn
 would otherwise spawn one thread per connection without limit), and
 submissions shed with 429 + ``Retry-After`` *before* the admission wall
 via :meth:`CampaignService.check_overload` — see
-:class:`~repro.service.scheduler.OverloadPolicy`.
+:class:`~repro.service.scheduler.OverloadPolicy`.  At most
+:data:`MAX_PARKED_WAITS` long-polls park a handler thread at once, so
+submissions always find a free one; a long-poll over that cap is
+answered at once, as a plain poll.
 
 Durability: SIGTERM/SIGINT (or ``/v1/shutdown``) stop the scheduler
 loop at the next cell boundary, release every ACTIVE claim and leave
@@ -56,10 +64,12 @@ from urllib.parse import parse_qs, urlparse
 from ..errors import AdmissionError, ConfigError, OverloadError, ServiceError
 from ..harness.journal.registry import default_runs_dir
 from ..harness.report import render_result_set
+from .campaign import TERMINAL_STATES, Campaign
 from .service import CampaignService
 from .spec import spec_from_dict
 
-__all__ = ["default_socket_path", "CampaignDaemon", "MAX_HANDLER_THREADS"]
+__all__ = ["default_socket_path", "CampaignDaemon", "MAX_HANDLER_THREADS",
+           "MAX_PARKED_WAITS"]
 
 #: How long the scheduler thread dozes (s) when the queue is empty.
 _IDLE_POLL_S = 0.05
@@ -69,6 +79,14 @@ _IDLE_POLL_S = 0.05
 #: spawning an unbounded thread per connection (ThreadingMixIn's
 #: default behaviour under a submission storm).
 MAX_HANDLER_THREADS = 32
+
+#: Long-polls (``GET /v1/campaigns/<id>?wait=S``) that may park a
+#: handler thread at once — well below :data:`MAX_HANDLER_THREADS`, so
+#: parked waiters never starve submissions.
+MAX_PARKED_WAITS = 16
+
+#: Longest one long-poll parks (s); a larger ``wait`` is clamped to it.
+_MAX_WAIT_S = 60.0
 
 #: The canned response for connections shed at the concurrency bound —
 #: written without ever entering the HTTP handler machinery.
@@ -81,6 +99,41 @@ _THREAD_SHED_RESPONSE = (
     b"\r\n"
     b'{"error": "daemon handler threads exhausted; retry shortly", '
     b'"kind": "OverloadError"}\n')
+
+
+def _wait_seconds(query: str) -> float:
+    """The ``wait`` query parameter in seconds (0 when absent), clamped
+    to :data:`_MAX_WAIT_S`; anything but a non-negative number is a
+    :class:`ConfigError` (400)."""
+    raw = (parse_qs(query).get("wait") or ["0"])[0]
+    try:
+        value = float(raw)
+        if value >= 0:  # NaN fails this too
+            return min(value, _MAX_WAIT_S)
+    except ValueError:
+        pass
+    raise ConfigError(f"wait={raw!r} is not a non-negative number of "
+                      f"seconds")
+
+
+def _compact(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _json_body(payload: Dict[str, Any]) -> bytes:
+    """``payload`` as compact JSON (sorted keys) plus a newline.
+
+    Top-level lists are encoded item by item: in one call, the C
+    encoder holds every fragment of a status document listing thousands
+    of campaigns at once, several times the size of its output.
+    """
+    def encode(value: Any) -> str:
+        if isinstance(value, list):
+            return "[" + ",".join(map(_compact, value)) + "]"
+        return _compact(value)
+    return ("{" + ",".join(f"{_compact(key)}:{encode(value)}"
+                           for key, value in sorted(payload.items()))
+            + "}\n").encode()
 
 
 def default_socket_path() -> str:
@@ -104,6 +157,11 @@ class _UnixHTTPServer(ThreadingMixIn, HTTPServer):
     address_family = socket.AF_UNIX
     daemon_threads = True
     allow_reuse_address = False
+    #: Pending connections the kernel queues before ``accept``.  A
+    #: connect past it fails with EAGAIN, which a client cannot tell
+    #: from "no daemon", so the queue is kept well above the handler
+    #: cap; the cap and its canned 429 bound concurrency instead.
+    request_queue_size = 4 * MAX_HANDLER_THREADS
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         self._handler_slots = threading.Semaphore(MAX_HANDLER_THREADS)
@@ -159,7 +217,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_json(self, code: int, payload: Dict[str, Any],
                    headers: Optional[Dict[str, str]] = None) -> None:
-        body = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        body = _json_body(payload)
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -179,6 +237,17 @@ class _Handler(BaseHTTPRequestHandler):
     def _error(self, code: int, exc: Exception) -> None:
         self._send_json(code, {"error": str(exc),
                                "kind": type(exc).__name__})
+
+    def _overload(self, code: int, message: str, hint: float) -> None:
+        """429/503 with the ``Retry-After`` hint in header and body.
+
+        The connection closes after it: a refused POST's body is never
+        read, and must not be parsed as the next request.
+        """
+        self._send_json(code, {"error": message, "kind": "OverloadError",
+                               "retry_after_s": hint},
+                        headers={"Retry-After": str(int(hint)),
+                                 "Connection": "close"})
 
     def _read_body(self) -> Dict[str, Any]:
         length = int(self.headers.get("Content-Length") or 0)
@@ -210,8 +279,17 @@ class _Handler(BaseHTTPRequestHandler):
                 payload = service.status_payload()
                 self._send_json(200, {"campaigns": payload["campaigns"]})
             elif len(parts) == 3 and parts[:2] == ["v1", "campaigns"]:
-                self._send_json(200,
-                                service.campaign(parts[2]).status_payload())
+                wait_s = _wait_seconds(url.query)
+                campaign = (daemon.wait_retired(parts[2], wait_s) if wait_s
+                            else service.campaign(parts[2]))
+                if (wait_s and daemon.draining
+                        and campaign.state not in TERMINAL_STATES):
+                    self._overload(
+                        503, "daemon is draining; the campaign resumes "
+                             "under the next daemon on this socket",
+                        service.retry_after_s())
+                    return
+                self._send_json(200, campaign.status_payload())
             elif (len(parts) == 4 and parts[:2] == ["v1", "campaigns"]
                     and parts[3] == "report"):
                 fmt = (parse_qs(url.query).get("format") or ["text"])[0]
@@ -224,6 +302,8 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send_json(404, {"error": f"no route {url.path!r}",
                                       "kind": "ServiceError"})
+        except ConfigError as exc:
+            self._error(400, exc)
         except ServiceError as exc:
             self._error(404, exc)
         except Exception as exc:  # pragma: no cover - handler backstop
@@ -239,14 +319,11 @@ class _Handler(BaseHTTPRequestHandler):
                     # A draining daemon will never schedule new work;
                     # accepting it would strand the journal until some
                     # later daemon life recovers it.  Refuse loudly.
-                    hint = service.retry_after_s()
-                    self._send_json(503, {
-                        "error": "daemon is draining and accepts no new "
-                                 "campaigns; retry against the next daemon "
-                                 "on this socket",
-                        "kind": "OverloadError",
-                        "retry_after_s": hint,
-                    }, headers={"Retry-After": str(int(hint))})
+                    self._overload(
+                        503, "daemon is draining and accepts no new "
+                             "campaigns; retry against the next daemon "
+                             "on this socket",
+                        service.retry_after_s())
                     return
                 service.check_overload()  # raises OverloadError -> 429
                 spec = spec_from_dict(self._read_body())
@@ -271,11 +348,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(404, {"error": f"no route {self.path!r}",
                                       "kind": "ServiceError"})
         except OverloadError as exc:
-            self._send_json(429, {
-                "error": str(exc),
-                "kind": "OverloadError",
-                "retry_after_s": exc.retry_after_s,
-            }, headers={"Retry-After": str(int(exc.retry_after_s))})
+            self._overload(429, str(exc), exc.retry_after_s)
         except AdmissionError as exc:
             self._error(409, exc)
         except ConfigError as exc:
@@ -311,6 +384,8 @@ class CampaignDaemon:
         self.server = _UnixHTTPServer(self.socket_path, handler)
         self._stop = threading.Event()
         self._wake = threading.Event()
+        self._parked = 0
+        self._parked_lock = threading.Lock()
 
     @staticmethod
     def _path_alive(path: str) -> bool:
@@ -351,10 +426,37 @@ class CampaignDaemon:
         """Nudge the scheduler loop (a submission just landed)."""
         self._wake.set()
 
+    @property
+    def parked(self) -> int:
+        """Long-polls parked in :meth:`wait_retired` right now."""
+        return self._parked
+
+    def wait_retired(self, campaign_id: str, timeout_s: float) -> Campaign:
+        """Park a long-poll until its campaign is terminal, the daemon
+        drains or ``timeout_s`` elapses; returns the campaign.
+
+        With :data:`MAX_PARKED_WAITS` waiters already parked the
+        campaign is returned at once, as for a plain poll.
+        """
+        with self._parked_lock:
+            full = self._parked >= MAX_PARKED_WAITS
+            if not full:
+                self._parked += 1
+        if full:
+            return self.service.campaign(campaign_id)
+        try:
+            return self.service.wait_retired(campaign_id, timeout_s,
+                                             self._stop.is_set)
+        finally:
+            with self._parked_lock:
+                self._parked -= 1
+
     def request_shutdown(self) -> None:
-        """Ask the serve loop to stop at the next cell boundary."""
+        """Ask the serve loop to stop at the next cell boundary, and
+        wake every parked long-poll (it answers 503)."""
         self._stop.set()
         self._wake.set()
+        self.service.wake_waiters()
 
     def serve(self, install_signals: bool = True) -> int:
         """Run until shutdown; returns the count of recovered campaigns.

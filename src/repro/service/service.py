@@ -26,7 +26,9 @@ Thread-safety: one lock around all mutating entrypoints.  The wire
 daemon calls :meth:`submit`/:meth:`status_payload` from handler threads
 while a single scheduler thread drives :meth:`step`; the lock serializes
 them, and within a campaign all journal writes happen on the stepping
-thread.
+thread.  Long-polling handlers park on a separate condition
+(:meth:`wait_retired`) that :meth:`step` notifies after releasing the
+lock, so a woken waiter never queues behind the next grant.
 """
 
 from __future__ import annotations
@@ -35,18 +37,19 @@ import os
 import sys
 import threading
 import time
+from collections import deque
 from dataclasses import replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from ..chaos.plan import chaos_strike
-from ..errors import JournalError, OverloadError, ServiceError
+from ..errors import ConfigError, JournalError, OverloadError, ServiceError
 from ..harness.engine.cache import ResultCache
 from ..harness.engine.cell import CellPlan
 from ..harness.experiment import Experiment
 from ..harness.health import BreakerPolicy, LaneHealth
 from ..harness.journal import RunRegistry, restore_campaign
 from ..harness.results import ResultSet
-from .campaign import Campaign, CampaignExecution
+from .campaign import TERMINAL_STATES, Campaign, CampaignExecution
 from .scheduler import AdmissionPolicy, FairShareScheduler, OverloadPolicy
 from .spec import CampaignSpec, spec_from_dict, spec_to_dict
 
@@ -55,6 +58,9 @@ __all__ = ["CampaignService", "MAX_CAMPAIGN_RESTARTS",
 
 #: Heartbeat the ACTIVE sidecar of the stepping campaign every N cells.
 _HEARTBEAT_EVERY = 16
+
+#: Retired campaigns whose results stay in memory for their report.
+_RESULTS_KEPT = 64
 
 #: Crash-supervision restarts one campaign may consume before the
 #: supervisor quarantines it instead of requeueing it yet again.
@@ -77,7 +83,10 @@ class CampaignService:
         self.scheduler = FairShareScheduler(policy)
         self.overload = overload if overload is not None else OverloadPolicy()
         self.campaigns: Dict[str, Campaign] = {}
+        #: Executions of the campaigns not yet retired.
         self._executions: Dict[str, CampaignExecution] = {}
+        #: Retired campaigns whose results are still held, oldest first.
+        self._recent: Deque[str] = deque()
         self._lanes: Dict[str, LaneHealth] = {}
         #: Cell fingerprint -> campaign id that executed (and cached) it.
         self._origins: Dict[str, str] = {}
@@ -87,6 +96,9 @@ class CampaignService:
         self._submission_keys: Dict[str, str] = {}
         self.dedup_hits = 0
         self._lock = threading.RLock()
+        #: Notified, outside ``_lock``, when a grant retires a campaign
+        #: and when the daemon drains; long-polls park on it.
+        self._retired = threading.Condition()
         self._steps = 0
         self.started_at = time.time()
         self._last_grant = time.time()
@@ -246,7 +258,8 @@ class CampaignService:
         ``repro run --resume``, never from this daemon's environment; a
         journal that no longer fingerprints is quarantined with the
         mismatch as its error.  Journals owned by another live process
-        are left alone.
+        are left alone, and so, with a warning on stderr, are journals
+        whose spec this build cannot read (a newer ``spec_version``).
 
         The idempotency map is rebuilt from *every* service journal —
         finished ones included — so a submit retried across a daemon
@@ -271,14 +284,20 @@ class CampaignService:
                 key = payload.get("submission_key")
                 if key:
                     self._submission_keys.setdefault(str(key), run_id)
-                if meta.get("state") in ("done", "failed", "expired",
-                                         "quarantined"):
+                if meta.get("state") in TERMINAL_STATES:
                     continue
                 if state.status == "complete":
                     continue
                 if self.registry.active_info(run_id) is not None:
                     continue  # another live daemon owns it
-                spec = spec_from_dict(payload)
+                try:
+                    spec = spec_from_dict(payload)
+                except ConfigError as exc:
+                    # Most likely a spec from a newer build: leave the
+                    # journal untouched so that build can still finish it.
+                    print(f"repro: service: not recovering campaign "
+                          f"{run_id}: {exc}", file=sys.stderr)
+                    continue
                 # The deadline counts from the journal's birth, not the
                 # restart: daemon crashes must never extend a budget.
                 campaign = Campaign(campaign_id=run_id, spec=spec,
@@ -325,6 +344,10 @@ class CampaignService:
         campaign is rebuilt from its journal and requeued — up to
         :data:`MAX_CAMPAIGN_RESTARTS` times, after which it is
         quarantined — while every other tenant keeps running.
+
+        A grant that retires its campaign (done, failed, expired or
+        quarantined) wakes every :meth:`wait_retired` caller once the
+        lock is released.
         """
         with self._lock:
             campaign_id = self.scheduler.select()
@@ -347,10 +370,47 @@ class CampaignService:
             self._steps += 1
             if self._steps % _HEARTBEAT_EVERY == 0:
                 self.registry.heartbeat(campaign_id)
-            if not more:
-                self.scheduler.finish(campaign_id)
-                self.registry.release_active(campaign_id)
-            return True
+            if more:
+                return True
+            self.scheduler.finish(campaign_id)
+            self.registry.release_active(campaign_id)
+            self._retire(campaign_id)
+        self.wake_waiters()
+        return True
+
+    def _retire(self, campaign_id: str) -> None:
+        # A retired campaign keeps only its Campaign row: the execution
+        # (plan, journal handle, options) is dropped, and its results
+        # stay in memory only while it is among the _RESULTS_KEPT most
+        # recently retired — an older report is rebuilt from the
+        # journal, byte-identically.  A daemon's memory then grows by a
+        # status row per campaign, not by a whole execution.
+        del self._executions[campaign_id]
+        self._recent.append(campaign_id)
+        if len(self._recent) > _RESULTS_KEPT:
+            self.campaigns[self._recent.popleft()].results = None
+
+    def wait_retired(self, campaign_id: str, timeout_s: float,
+                     interrupted: Callable[[], bool]) -> Campaign:
+        """Block until a campaign is terminal; returns the campaign.
+
+        Returns at once for a terminal campaign, otherwise when a grant
+        retires it, when ``interrupted()`` turns true (checked at every
+        :meth:`wake_waiters`) or after ``timeout_s`` — the caller reads
+        the state off the returned campaign.  An unknown id raises
+        :class:`ServiceError`.
+        """
+        campaign = self.campaign(campaign_id)
+        with self._retired:
+            self._retired.wait_for(
+                lambda: campaign.state in TERMINAL_STATES or interrupted(),
+                timeout_s)
+        return campaign
+
+    def wake_waiters(self) -> None:
+        """Wake every :meth:`wait_retired` caller to re-check its wait."""
+        with self._retired:
+            self._retired.notify_all()
 
     def _supervise_crash(self, campaign_id: str, exc: Exception) -> bool:
         # Requeue-or-quarantine: the journal is the truth (the crashed
@@ -446,10 +506,6 @@ class CampaignService:
         """
         with self._lock:
             for campaign_id, execution in self._executions.items():
-                campaign = self.campaigns[campaign_id]
-                if campaign.state in ("done", "failed", "expired",
-                                      "quarantined"):
-                    continue
                 execution.journal.close()
                 self.registry.release_active(campaign_id)
 
@@ -467,13 +523,16 @@ class CampaignService:
         """The finished campaign's results, from memory or its journal.
 
         Journal reconstruction serves campaigns finished by an earlier
-        daemon life: cells come back in plan order with their embedded
+        daemon life, or retired before the last ``_RESULTS_KEPT`` ones
+        of this life: cells come back in plan order with their embedded
         measurements, so the rendering is byte-identical to the one the
         finishing process produced.
         """
         campaign = self.campaigns.get(campaign_id)
-        if campaign is not None and campaign.results is not None:
-            return campaign.results
+        # One read: the scheduler thread may drop the results meanwhile.
+        results = campaign.results if campaign is not None else None
+        if results is not None:
+            return results
         state = self.registry.load(campaign_id)
         if state.status != "complete":
             raise ServiceError(

@@ -42,6 +42,14 @@ class TestAccessors:
         with pytest.raises(ConfigError):
             RunConfig({"X": "0"}).get_int("X", 1)
 
+    def test_get_float_zero_only_where_allowed(self):
+        assert RunConfig({"F": "0"}).get_float("F", allow_zero=True) == 0.0
+        with pytest.raises(ConfigError, match="positive"):
+            RunConfig({"F": "0"}).get_float("F")
+        for raw in ("-0.5", "nan", "soon"):
+            with pytest.raises(ConfigError):
+                RunConfig({"F": raw}).get_float("F", allow_zero=True)
+
     @pytest.mark.parametrize("raw,expected", [
         ("1", True), ("true", True), ("close", True), ("spread", True),
         ("0", False), ("false", False), ("", False),
@@ -208,3 +216,27 @@ def test_empty_value_means_unset(name):
     from repro.config import resolve_run_settings
     assert resolve_run_settings(environ={name: ""}) \
         == resolve_run_settings(environ={})
+
+
+def test_zero_backoff_from_the_environment(monkeypatch, capsys):
+    # RetryPolicy takes a zero backoff base (retry at once); so does
+    # REPRO_BACKOFF, while negatives and non-numbers stay usage errors.
+    from repro.cli import main
+    from repro.config import resolve_run_settings
+    from repro.harness.engine import (reset_default_engine,
+                                      reset_default_run_options)
+    retry = resolve_run_settings(environ={"REPRO_BACKOFF": "0"})["retry"]
+    assert retry.backoff_base_s == 0.0
+    for bad in ("-1", "soon"):
+        with pytest.raises(ConfigError):
+            resolve_run_settings(environ={"REPRO_BACKOFF": bad})
+    monkeypatch.setenv("REPRO_BACKOFF", "0")
+    reset_default_engine()
+    reset_default_run_options()
+    try:
+        assert main(["run", "--models", "julia", "--sizes", "256",
+                     "--no-cache"]) == 0
+    finally:
+        reset_default_engine()
+        reset_default_run_options()
+    assert "256" in capsys.readouterr().out

@@ -590,6 +590,59 @@ class TestServiceRecovery:
         # The quarantine is durable: a later daemon leaves it parked.
         assert CampaignService(registry=registry, cache=cache).recover() == []
 
+    def test_recover_skips_a_journal_from_a_newer_build(self, store,
+                                                       monkeypatch, capsys):
+        # A journal whose durable spec carries a spec_version this build
+        # cannot read must not stop the daemon from starting, and must
+        # not be quarantined: the newer build can still finish it.
+        import repro.service.service as service_mod
+        registry, cache = store
+        monkeypatch.setattr(service_mod, "spec_to_dict",
+                            lambda s: dict(spec_to_dict(s), spec_version=3))
+        svc1 = CampaignService(registry=registry, cache=cache)
+        newer = svc1.submit(small_spec(tenant="alice", exp_id="re-v3"))
+        monkeypatch.setattr(service_mod, "spec_to_dict", spec_to_dict)
+        spec_b = small_spec(tenant="bob", exp_id="re-v2")
+        current = svc1.submit(spec_b)
+        svc1.suspend()
+        before = open(registry.path_for(newer), "rb").read()
+
+        svc2 = CampaignService(registry=registry, cache=cache)
+        assert svc2.recover() == [current]
+        assert f"not recovering campaign {newer}" in capsys.readouterr().err
+        assert newer not in svc2.campaigns
+        assert svc2.health_state() == "ready"
+        svc2.run_until_idle()
+        assert render_result_set(svc2.result_set(current)) \
+            == solo_render(spec_b)
+        # Untouched on disk, and skipped again by the next daemon.
+        assert open(registry.path_for(newer), "rb").read() == before
+        assert registry.load(newer).service_meta["state"] == "queued"
+        assert CampaignService(registry=registry, cache=cache).recover() \
+            == []
+
+    def test_retired_campaigns_release_their_execution_and_old_results(
+            self, store, monkeypatch):
+        # Only the most recently retired campaigns keep their results in
+        # memory; an older report is rebuilt from its journal, and the
+        # bytes are the same.
+        import repro.service.service as service_mod
+        monkeypatch.setattr(service_mod, "_RESULTS_KEPT", 1)
+        registry, cache = store
+        svc = CampaignService(registry=registry, cache=cache)
+        spec_a = small_spec(tenant="alice", exp_id="kept-a")
+        id_a = svc.submit(spec_a)
+        svc.run_until_idle()
+        assert svc.campaigns[id_a].results is not None
+        id_b = svc.submit(small_spec(tenant="bob", exp_id="kept-b"))
+        svc.run_until_idle()
+        assert svc.campaigns[id_a].results is None
+        assert svc.campaigns[id_b].results is not None
+        assert svc._executions == {}
+        solo = run_campaign(spec_a, engine=SweepEngine(cache=None))
+        assert (result_set_to_json(svc.result_set(id_a))
+                == result_set_to_json(solo))
+
     def test_submit_is_durable_before_any_execution(self, store):
         registry, cache = store
         svc1 = CampaignService(registry=registry, cache=cache)
@@ -803,6 +856,40 @@ class TestShims:
         assert repro.run_campaign is run_campaign
 
 
+#: Methods the benchmark's span tracer (perfbench/spans.py) wraps by
+#: looking each up in its class's own ``__dict__``: class -> method ->
+#: the leading parameters the tracer's wrappers rely on.
+TRACED_METHODS = {
+    "ServiceClient": {
+        "submit": ["self", "spec"],
+        "wait": ["self", "campaign_id"],
+        "campaign": ["self", "campaign_id"],
+        "report": ["self", "campaign_id"],
+        "_request_once": ["self", "method", "path"],
+    },
+    "CampaignService": {
+        "step": ["self"],
+        "submit_idempotent": ["self", "spec"],
+    },
+    "CampaignExecution": {
+        "step": ["self"],
+    },
+}
+
+
+class TestTracedMethods:
+    @pytest.mark.parametrize("cls_name", sorted(TRACED_METHODS))
+    def test_traced_methods_are_defined_on_their_class(self, cls_name):
+        import inspect
+
+        import repro.service as service_pkg
+        cls = getattr(service_pkg, cls_name)
+        for name, leading in TRACED_METHODS[cls_name].items():
+            assert name in cls.__dict__, f"{cls_name}.{name} moved or renamed"
+            params = list(inspect.signature(cls.__dict__[name]).parameters)
+            assert params[:len(leading)] == leading, (cls_name, name, params)
+
+
 # --------------------------------------------------------------------------
 # daemon: wire API over a Unix socket
 # --------------------------------------------------------------------------
@@ -902,6 +989,219 @@ class TestDaemonWire:
         client = ServiceClient(str(tmp_path / "nobody.sock"))
         with pytest.raises(ServiceError, match="repro serve"):
             client.ping()
+
+    # -- long-poll: GET /v1/campaigns/<id>?wait=S -------------------------
+    #
+    # A parked request that should have been answered runs into the
+    # client's short request timeout and fails the test, so none of
+    # these can hang; they assert calls and answers, not wall time.
+
+    @pytest.fixture
+    def listener(self, store, tmp_path):
+        # Listener only, no scheduler loop: campaigns advance only when
+        # the test steps the service itself.
+        registry, cache = store
+        yield from _listener_only(
+            CampaignDaemon(service=CampaignService(registry=registry,
+                                                   cache=cache),
+                           socket_path=str(tmp_path / "lp.sock")))
+
+    def test_long_poll_on_a_terminal_campaign_answers_at_once(self, daemon):
+        cid = ServiceClient(daemon.socket_path).submit(
+            small_spec(exp_id="lp-done"))
+        assert _short_client(daemon).wait(cid, timeout=10)["state"] == "done"
+        row = _short_client(daemon).campaign(cid, wait=30)
+        assert row["state"] == "done"
+        assert daemon.parked == 0
+
+    def test_wire_json_is_the_compact_sorted_encoding(self, daemon):
+        import json
+
+        from repro.service.daemon import _json_body
+        client = ServiceClient(daemon.socket_path)
+        for i in range(2):
+            client.wait(client.submit(small_spec(exp_id=f"enc-{i}")),
+                        timeout=10)
+        payload = daemon.service.status_payload()
+        assert len(payload["campaigns"]) == 2
+        assert _json_body(payload) == (json.dumps(
+            payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+    def test_long_poll_rejects_a_bad_wait(self, daemon):
+        cid = ServiceClient(daemon.socket_path).submit(
+            small_spec(exp_id="lp-bad"))
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ConfigError, match="wait="):
+                _short_client(daemon).campaign(cid, wait=bad)
+
+    def test_wait_on_a_running_campaign_is_one_long_poll(self, listener):
+        svc = listener.service
+        client = _CountingClient(listener.socket_path,
+                                 policy=ClientPolicy(request_timeout_s=5))
+        cid = client.submit(small_spec(exp_id="lp-run"))
+        assert svc.step()  # one of four cells: the campaign is running
+        waiter = _Call(client.wait, cid, timeout=5)
+        assert _wait_until(lambda: listener.parked == 1, timeout=5,
+                           interval=0.005)
+        svc.run_until_idle()
+        assert waiter.result(5)["state"] == "done"
+        assert client.polls == 1
+        assert client.campaign(cid)["state"] == "done"
+
+    def test_wait_through_the_serve_loop_is_one_poll_per_campaign(
+            self, daemon):
+        client = _CountingClient(daemon.socket_path,
+                                 policy=ClientPolicy(request_timeout_s=5))
+        for i in range(3):
+            cid = client.submit(small_spec(exp_id=f"lp-loop-{i}"))
+            assert client.wait(cid, timeout=10)["state"] == "done"
+        assert client.polls == 3
+
+    def test_long_polls_over_the_cap_answer_as_plain_polls(self, listener):
+        from repro.service.daemon import MAX_HANDLER_THREADS, MAX_PARKED_WAITS
+        assert MAX_PARKED_WAITS < MAX_HANDLER_THREADS
+        cid = _short_client(listener).submit(small_spec(exp_id="lp-cap"))
+        parked = []
+        for n in range(1, MAX_PARKED_WAITS + 1):  # one connect at a time
+            parked.append(_Call(_short_client(listener, 10).campaign, cid,
+                                wait=10))
+            assert _wait_until(lambda: listener.parked == n, timeout=5,
+                               interval=0.005)
+        # One more long-poll is answered at once with the live row...
+        assert _short_client(listener).campaign(cid, wait=10)["state"] \
+            == "queued"
+        assert listener.parked == MAX_PARKED_WAITS
+        # ...and a submission still finds a handler thread: 202, not 429.
+        spec = small_spec(exp_id="lp-cap-2")
+        assert _short_client(listener).submit(spec) != cid
+        listener.request_shutdown()
+        for call in parked:
+            with pytest.raises(OverloadError, match="draining"):
+                call.result(5)
+
+    def test_a_burst_of_connections_is_queued_not_refused(self, listener):
+        # More simultaneous connects than socketserver's default listen
+        # queue of 5: each must reach the daemon, none may fail as if
+        # no daemon were there.
+        barrier = threading.Barrier(12)
+
+        def ping():
+            barrier.wait(5)
+            return _short_client(listener).ping()["ok"]
+
+        calls = [_Call(ping) for _ in range(12)]
+        assert all(call.result(5) for call in calls)
+
+    def test_parked_count_survives_a_thread_storm(self, listener):
+        # More long-polls than the cap, from more threads than cores,
+        # with a short switch interval: the parked count must come back
+        # to 0 and every parked waiter must see the terminal state.
+        from repro.service.daemon import MAX_PARKED_WAITS
+        svc = listener.service
+        cid = svc.submit(small_spec(exp_id="lp-storm"))
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            calls = [_Call(listener.wait_retired, cid, 10)
+                     for _ in range(2 * MAX_PARKED_WAITS + 8)]
+            assert _wait_until(lambda: listener.parked == MAX_PARKED_WAITS,
+                               timeout=5, interval=0.005)
+            svc.run_until_idle()
+            states = [call.result(5).state for call in calls]
+        finally:
+            sys.setswitchinterval(previous)
+        assert listener.parked == 0
+        assert states.count("done") >= MAX_PARKED_WAITS
+
+    def test_shutdown_wakes_a_parked_waiter_with_503(self, listener):
+        cid = _short_client(listener).submit(small_spec(exp_id="lp-stop"))
+        waiter = _Call(_short_client(listener, 10).campaign, cid, wait=10)
+        assert _wait_until(lambda: listener.parked == 1, timeout=5,
+                           interval=0.005)
+        listener.request_shutdown()
+        with pytest.raises(OverloadError, match="draining") as excinfo:
+            waiter.result(3)
+        assert excinfo.value.retry_after_s >= 1.0
+        assert listener.parked == 0
+
+    def test_daemon_that_ignores_wait_gets_paced_polls(self, store,
+                                                       tmp_path):
+        class PlainPollDaemon(CampaignDaemon):
+            """An older daemon: ``?wait`` is ignored, polls answer now."""
+
+            def wait_retired(self, campaign_id, timeout_s):
+                return self.service.campaign(campaign_id)
+
+        registry, cache = store
+        for daemon in _listener_only(PlainPollDaemon(
+                service=CampaignService(registry=registry, cache=cache),
+                socket_path=str(tmp_path / "old.sock"))):
+            client = _CountingClient(daemon.socket_path,
+                                     policy=ClientPolicy(request_timeout_s=5))
+            cid = client.submit(small_spec(exp_id="lp-old"))
+            with pytest.raises(ServiceError, match="did not finish"):
+                client.wait(cid, timeout=0.6, poll_s=0.02)
+            gaps = [b - a for a, b in zip(client.times, client.times[1:])]
+            # 20, 40, 80, 160, 320 ms apart: paced, not a busy loop
+            assert 3 <= client.polls <= 7
+            assert all(gap >= 0.02 * 2 ** k * 0.9
+                       for k, gap in enumerate(gaps))
+
+
+def _listener_only(daemon):
+    """Serve ``daemon``'s wire API without its scheduler loop; yields it
+    and drains it (waking parked long-polls) on the way out."""
+    listener = threading.Thread(target=daemon.server.serve_forever,
+                                kwargs={"poll_interval": 0.05}, daemon=True)
+    listener.start()
+    try:
+        yield daemon
+    finally:
+        daemon.request_shutdown()
+        daemon.close()
+
+
+def _short_client(daemon, request_timeout_s=2.0):
+    return ServiceClient(daemon.socket_path, policy=ClientPolicy(
+        request_timeout_s=request_timeout_s))
+
+
+class _CountingClient(ServiceClient):
+    """Counts (and timestamps) ``campaign()`` calls, the polls of wait."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.polls = 0
+        self.times = []
+
+    def campaign(self, campaign_id, wait=None):
+        self.polls += 1
+        self.times.append(time.monotonic())
+        return super().campaign(campaign_id, wait=wait)
+
+
+class _Call:
+    """``fn(*args, **kwargs)`` on a daemon thread; ``result`` joins it."""
+
+    def __init__(self, fn, *args, **kwargs):
+        self._outcome = None
+        self._thread = threading.Thread(
+            target=self._run, args=(fn, args, kwargs), daemon=True)
+        self._thread.start()
+
+    def _run(self, fn, args, kwargs):
+        try:
+            self._outcome = (True, fn(*args, **kwargs))
+        except BaseException as exc:  # noqa: BLE001 - re-raised in result
+            self._outcome = (False, exc)
+
+    def result(self, timeout):
+        self._thread.join(timeout)
+        assert not self._thread.is_alive(), "call still blocked"
+        ok, value = self._outcome
+        if not ok:
+            raise value
+        return value
 
 
 class TestDaemonShutdown:
