@@ -116,26 +116,6 @@ def _wait_seconds(query: str) -> float:
                       f"seconds")
 
 
-def _compact(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def _json_body(payload: Dict[str, Any]) -> bytes:
-    """``payload`` as compact JSON (sorted keys) plus a newline.
-
-    Top-level lists are encoded item by item: in one call, the C
-    encoder holds every fragment of a status document listing thousands
-    of campaigns at once, several times the size of its output.
-    """
-    def encode(value: Any) -> str:
-        if isinstance(value, list):
-            return "[" + ",".join(map(_compact, value)) + "]"
-        return _compact(value)
-    return ("{" + ",".join(f"{_compact(key)}:{encode(value)}"
-                           for key, value in sorted(payload.items()))
-            + "}\n").encode()
-
-
 def default_socket_path() -> str:
     """``$REPRO_SERVICE_SOCKET``, else ``service.sock`` in the runs dir."""
     explicit = os.environ.get("REPRO_SERVICE_SOCKET")
@@ -217,7 +197,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_json(self, code: int, payload: Dict[str, Any],
                    headers: Optional[Dict[str, str]] = None) -> None:
-        body = _json_body(payload)
+        body = (json.dumps(payload, sort_keys=True, separators=(",", ":"))
+                + "\n").encode()
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

@@ -384,8 +384,12 @@ class CampaignService:
         # stay in memory only while it is among the _RESULTS_KEPT most
         # recently retired — an older report is rebuilt from the
         # journal, byte-identically.  A daemon's memory then grows by a
-        # status row per campaign, not by a whole execution.
-        del self._executions[campaign_id]
+        # status row per campaign, not by a whole execution.  A journal
+        # degraded by a write failure stopped short of its run-close, so
+        # it cannot rebuild the report: those results stay in memory.
+        execution = self._executions.pop(campaign_id)
+        if execution.journal.degraded:
+            return
         self._recent.append(campaign_id)
         if len(self._recent) > _RESULTS_KEPT:
             self.campaigns[self._recent.popleft()].results = None
@@ -526,7 +530,8 @@ class CampaignService:
         daemon life, or retired before the last ``_RESULTS_KEPT`` ones
         of this life: cells come back in plan order with their embedded
         measurements, so the rendering is byte-identical to the one the
-        finishing process produced.
+        finishing process produced.  (A campaign whose journal degraded
+        keeps its results in memory: that journal has no ``run-close``.)
         """
         campaign = self.campaigns.get(campaign_id)
         # One read: the scheduler thread may drop the results meanwhile.

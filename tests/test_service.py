@@ -643,6 +643,34 @@ class TestServiceRecovery:
         assert (result_set_to_json(svc.result_set(id_a))
                 == result_set_to_json(solo))
 
+    def test_degraded_journal_keeps_its_results_in_memory(
+            self, store, monkeypatch, tmp_path, capsys):
+        # A journal that hit a write error drops its run-close record,
+        # so it cannot rebuild the report: the campaign's results must
+        # outlive the _RESULTS_KEPT window, and its report still render.
+        import repro.service.service as service_mod
+        from repro.chaos.plan import CHAOS_PLAN_ENV, ChaosEvent, ChaosPlan
+        monkeypatch.setattr(service_mod, "_RESULTS_KEPT", 1)
+        registry, cache = store
+        svc = CampaignService(registry=registry, cache=cache)
+        spec_a = small_spec(tenant="alice", exp_id="degraded-a")
+        id_a = svc.submit(spec_a)
+        plan = ChaosPlan((ChaosEvent("journal-append", "enospc",
+                                     match="cell-done"),))
+        monkeypatch.setenv(CHAOS_PLAN_ENV,
+                           plan.write(str(tmp_path / "plan.json")))
+        svc.run_until_idle()
+        monkeypatch.delenv(CHAOS_PLAN_ENV)
+        assert "journaling disabled" in capsys.readouterr().err
+        assert svc.campaigns[id_a].state == "done"
+        assert registry.load(id_a).status != "complete"
+        for exp_id in ("degraded-b", "degraded-c"):
+            svc.submit(small_spec(tenant="bob", exp_id=exp_id))
+            svc.run_until_idle()
+        assert svc.campaigns[id_a].results is not None
+        assert render_result_set(svc.result_set(id_a)) \
+            == solo_render(spec_a)
+
     def test_submit_is_durable_before_any_execution(self, store):
         registry, cache = store
         svc1 = CampaignService(registry=registry, cache=cache)
@@ -1013,19 +1041,6 @@ class TestDaemonWire:
         row = _short_client(daemon).campaign(cid, wait=30)
         assert row["state"] == "done"
         assert daemon.parked == 0
-
-    def test_wire_json_is_the_compact_sorted_encoding(self, daemon):
-        import json
-
-        from repro.service.daemon import _json_body
-        client = ServiceClient(daemon.socket_path)
-        for i in range(2):
-            client.wait(client.submit(small_spec(exp_id=f"enc-{i}")),
-                        timeout=10)
-        payload = daemon.service.status_payload()
-        assert len(payload["campaigns"]) == 2
-        assert _json_body(payload) == (json.dumps(
-            payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
     def test_long_poll_rejects_a_bad_wait(self, daemon):
         cid = ServiceClient(daemon.socket_path).submit(
