@@ -222,9 +222,10 @@ class FairShareScheduler:
                *, preadmitted: bool = False) -> None:
         """Queue one campaign, or raise :class:`AdmissionError`.
 
-        ``preadmitted`` skips admission control — the recovery path,
-        where the campaign already passed it in a previous daemon life
-        and refusing it now would drop durable work.
+        ``preadmitted`` skips admission control for a campaign that
+        already passed it: in a previous daemon life (the recovery path,
+        where refusing it now would drop durable work), or through
+        :meth:`admit` before its journal was written.
 
         A tenant seen for the first time starts at the *maximum* current
         pass of the other tenants (not zero): a newcomer gets its fair
@@ -234,8 +235,7 @@ class FairShareScheduler:
         if campaign_id in self._owner:
             raise ServiceError(f"campaign {campaign_id!r} already queued")
         if not preadmitted:
-            self.policy.admit(tenant, self.tenant_backlog(tenant),
-                              self.backlog)
+            self.admit(tenant)
         state = self._tenants.get(tenant)
         if state is None:
             quota = self.policy.quota_for(tenant)
@@ -247,6 +247,11 @@ class FairShareScheduler:
         self._seq += 1
         heapq.heappush(state.heap, (-int(priority), self._seq, campaign_id))
         self._owner[campaign_id] = tenant
+
+    def admit(self, tenant: str) -> None:
+        """Raise :class:`AdmissionError` unless ``tenant`` may queue one
+        more campaign now; queues nothing."""
+        self.policy.admit(tenant, self.tenant_backlog(tenant), self.backlog)
 
     def select(self) -> Optional[str]:
         """The campaign that should advance one cell next, or ``None``.

@@ -22,13 +22,18 @@
   sidecar so ``repro runs list`` and ``repro fsck`` treat them as work
   in progress rather than torn artifacts.
 
-Thread-safety: one lock around all mutating entrypoints.  The wire
-daemon calls :meth:`submit`/:meth:`status_payload` from handler threads
-while a single scheduler thread drives :meth:`step`; the lock serializes
-them, and within a campaign all journal writes happen on the stepping
-thread.  Long-polling handlers park on a separate condition
-(:meth:`wait_retired`) that :meth:`step` notifies after releasing the
-lock, so a woken waiter never queues behind the next grant.
+Thread-safety: the wire daemon calls :meth:`submit`/:meth:`status_payload`
+from handler threads while a single scheduler thread drives :meth:`step`.
+The service lock guards the bookkeeping (scheduler queues, campaign maps,
+counters) and is not held across a cell or journal I/O: a grant runs its
+cell and fsyncs under a grant lock (one grant at a time), a submission
+writes its journal under a submission lock (one submission at a time).
+So a submission never waits for a running cell, nor a grant for a
+submission's fsyncs.  Within a campaign, every journal write after the
+submission happens on the stepping thread.  Long-polling handlers park
+on a separate condition (:meth:`wait_retired`) that :meth:`step`
+notifies after releasing its locks, so a woken waiter never queues
+behind the next grant.
 """
 
 from __future__ import annotations
@@ -95,7 +100,12 @@ class CampaignService:
         #: this from disk across daemon restarts.
         self._submission_keys: Dict[str, str] = {}
         self.dedup_hits = 0
+        #: Guards the bookkeeping; held briefly, never across disk I/O.
         self._lock = threading.RLock()
+        #: Held for a whole grant (cell + journal fsyncs): one at a time.
+        self._grant_lock = threading.Lock()
+        #: Held for a whole submission (admission + journal + enqueue).
+        self._submit_lock = threading.Lock()
         #: Notified, outside ``_lock``, when a grant retires a campaign
         #: and when the daemon drains; long-polls park on it.
         self._retired = threading.Condition()
@@ -167,36 +177,39 @@ class CampaignService:
         journaled spec, so the map survives daemon restarts via
         :meth:`recover`.
         """
-        with self._lock:
-            key = spec.submission_key
-            if key is not None:
-                existing = self._submission_keys.get(key)
-                if existing is not None:
-                    self.duplicates_total += 1
-                    return existing, True
+        key = spec.submission_key
+        with self._submit_lock:
+            with self._lock:
+                if key is not None:
+                    existing = self._submission_keys.get(key)
+                    if existing is not None:
+                        self.duplicates_total += 1
+                        return existing, True
+                self.scheduler.admit(spec.tenant)
+            # Journaled outside the service lock.  Submissions hold
+            # _submit_lock and grants only shrink the backlog, so the
+            # admission above still holds when the campaign is queued.
             run_id = self.registry.new_run_id()
-            self.scheduler.submit(run_id, spec.tenant, spec.priority)
-            try:
-                # Resolved once: the options the run-open record pins are
-                # the ones the campaign executes with.
-                options = spec.run_options()
-                journal = self.registry.create(run_id)
-                CellPlan.build(spec.experiment, options,
-                               cache=None).open_run(journal)
-                journal.campaign_state("queued", tenant=spec.tenant,
-                                       priority=spec.priority,
-                                       spec=spec_to_dict(spec))
-            except Exception:
-                self.scheduler.finish(run_id)
-                raise
+            # Resolved once: the options the run-open record pins are
+            # the ones the campaign executes with.
+            options = spec.run_options()
+            journal = self.registry.create(run_id)
+            CellPlan.build(spec.experiment, options,
+                           cache=None).open_run(journal)
+            journal.campaign_state("queued", tenant=spec.tenant,
+                                   priority=spec.priority,
+                                   spec=spec_to_dict(spec))
             campaign = Campaign(campaign_id=run_id, spec=spec,
                                 submitted_at=time.time())
-            self.campaigns[run_id] = campaign
-            self._executions[run_id] = CampaignExecution(
-                self, campaign, journal, options)
-            if key is not None:
-                self._submission_keys[key] = run_id
-            self.accepted_total += 1
+            with self._lock:
+                self.scheduler.submit(run_id, spec.tenant, spec.priority,
+                                      preadmitted=True)
+                self.campaigns[run_id] = campaign
+                self._executions[run_id] = CampaignExecution(
+                    self, campaign, journal, options)
+                if key is not None:
+                    self._submission_keys[key] = run_id
+                self.accepted_total += 1
             return run_id, False
 
     def check_overload(self) -> None:
@@ -346,15 +359,19 @@ class CampaignService:
         quarantined — while every other tenant keeps running.
 
         A grant that retires its campaign (done, failed, expired or
-        quarantined) wakes every :meth:`wait_retired` caller once the
-        lock is released.
+        quarantined) wakes every :meth:`wait_retired` caller once its
+        locks are released.
         """
-        with self._lock:
-            campaign_id = self.scheduler.select()
-            if campaign_id is None:
-                return False
-            campaign = self.campaigns[campaign_id]
-            self._last_grant = time.time()
+        with self._grant_lock:
+            with self._lock:
+                campaign_id = self.scheduler.select()
+                if campaign_id is None:
+                    return False
+                campaign = self.campaigns[campaign_id]
+                execution = self._executions[campaign_id]
+                self._last_grant = time.time()
+            # The grant's own work runs outside the service lock: only
+            # this thread touches the execution.
             if campaign.state == "queued":
                 self.registry.mark_active(campaign_id, pid=os.getpid())
             # Chaos strike point "daemon-grant": an armed plan can
@@ -362,19 +379,22 @@ class CampaignService:
             # crash :meth:`recover` exists to survive.
             chaos_strike("daemon-grant", campaign_id)
             try:
-                more = self._executions[campaign_id].step()
+                more = execution.step()
             except Exception as exc:  # noqa: BLE001 - supervision boundary
-                more = self._supervise_crash(campaign_id, exc)
-            self.scheduler.begin(campaign_id)
-            self.scheduler.charge(campaign_id)
+                with self._lock:
+                    more = self._supervise_crash(campaign_id, exc)
+            with self._lock:
+                self.scheduler.begin(campaign_id)
+                self.scheduler.charge(campaign_id)
+                if not more:
+                    self.scheduler.finish(campaign_id)
+                    self._retire(campaign_id)
             self._steps += 1
             if self._steps % _HEARTBEAT_EVERY == 0:
                 self.registry.heartbeat(campaign_id)
             if more:
                 return True
-            self.scheduler.finish(campaign_id)
             self.registry.release_active(campaign_id)
-            self._retire(campaign_id)
         self.wake_waiters()
         return True
 
@@ -506,9 +526,10 @@ class CampaignService:
         The graceful-shutdown half of the durability contract: journals
         stay open (and thus recoverable), sidecars are dropped so the
         runs re-enter the ordinary resumable lifecycle immediately
-        rather than after pid-liveness detection.
+        rather than after pid-liveness detection.  A grant in flight
+        finishes first.
         """
-        with self._lock:
+        with self._grant_lock, self._lock:
             for campaign_id, execution in self._executions.items():
                 execution.journal.close()
                 self.registry.release_active(campaign_id)

@@ -875,6 +875,70 @@ class TestActiveState:
         journal.close()
 
 
+class TestGrantLockScope:
+    """A grant's cell and journal I/O run outside the service lock."""
+
+    def test_submit_and_status_do_not_wait_for_a_running_cell(
+            self, store, monkeypatch):
+        import repro.service.campaign as campaign_mod
+        registry, cache = store
+        svc = CampaignService(registry=registry, cache=cache)
+        first = svc.submit(small_spec(tenant="alice", models=("julia",),
+                                      sizes=(256,)))
+        entered, release = threading.Event(), threading.Event()
+        run_cell = campaign_mod.run_cell
+
+        def held_run_cell(plan, i):
+            entered.set()
+            release.wait(10)
+            return run_cell(plan, i)
+
+        monkeypatch.setattr(campaign_mod, "run_cell", held_run_cell)
+        grant = _Call(svc.step)
+        try:
+            assert entered.wait(5)
+            submitted = _Call(svc.submit, small_spec(
+                tenant="bob", models=("numba",), sizes=(256,)))
+            status = _Call(svc.status_payload)
+            second = svc.campaign(submitted.result(timeout=5))
+            rows = status.result(timeout=5)["campaigns"]
+            assert second.state == "queued"
+            assert {r["id"]: r["state"] for r in rows}[first] == "running"
+        finally:
+            release.set()
+        assert grant.result(timeout=10) is True
+        svc.run_until_idle()
+        assert svc.campaigns[first].state == "done"
+        assert second.state == "done"
+
+    def test_suspend_waits_for_the_grant_in_flight(self, store, monkeypatch):
+        import repro.service.campaign as campaign_mod
+        registry, cache = store
+        svc = CampaignService(registry=registry, cache=cache)
+        cid = svc.submit(small_spec(tenant="alice", models=("julia",),
+                                    sizes=(256, 512)))
+        entered, release = threading.Event(), threading.Event()
+        run_cell = campaign_mod.run_cell
+
+        def held_run_cell(plan, i):
+            entered.set()
+            release.wait(10)
+            return run_cell(plan, i)
+
+        monkeypatch.setattr(campaign_mod, "run_cell", held_run_cell)
+        grant = _Call(svc.step)
+        assert entered.wait(5)
+        suspend = _Call(svc.suspend)
+        time.sleep(0.2)
+        # The grant still journals its cell: suspend has not closed it.
+        assert registry.active_info(cid) is not None
+        release.set()
+        assert grant.result(timeout=10) is True
+        suspend.result(timeout=10)
+        assert registry.active_info(cid) is None
+        assert registry.load(cid).done_cells == 1
+
+
 # --------------------------------------------------------------------------
 # the package-level entrypoint
 # --------------------------------------------------------------------------
