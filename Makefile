@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint audit bench bench-audit bench-paper bench-service chaos-smoke engine-smoke service-smoke report report-cached faults breaker resume fsck verify examples clean
+.PHONY: install test lint audit bench bench-audit bench-paper bench-service chaos-smoke engine-smoke service-smoke report report-cached faults resume fsck verify examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -144,18 +144,6 @@ faults:
 	  --faults 'rate=0.25,seed=7,always=numba@1024' --retries 3 \
 	  | grep -E 'DEGRADED|FAILED'
 	@echo "degraded sweep completed with exit 0"
-
-# Self-healing smoke test: two numba cells fail permanently, the lane's
-# breaker opens at the threshold, and the remaining numba cells are
-# served by the fallback ladder — the sweep exits 0 and the report must
-# carry both the DEGRADED and SUBSTITUTED banners.
-breaker:
-	$(PYTHON) -m repro run --node wombat --device gpu \
-	  --models cuda,numba --sizes 256,512,1024 --no-cache --no-journal \
-	  --faults 'always=numba@256+numba@512' \
-	  --breaker 'threshold=2,cooldown=1e5' \
-	  | grep -E 'DEGRADED|SUBSTITUTED'
-	@echo "breaker opened and fallback lanes served; exit 0"
 
 # Crash-safety smoke test: interrupt a journaled sweep mid-flight,
 # resume it, and require the resumed output to be byte-identical

@@ -23,9 +23,6 @@ Commands mirror the deliverables:
   CampaignSpec) to the daemon; ``--wait`` prints the same report
   ``repro run`` would have.
 * ``repro status`` — the daemon's scheduler/tenant/dedup snapshot.
-* ``repro health <run-id>`` — lane-state history of a breaker-enabled
-  run: every circuit-breaker transition, final lane states, and which
-  cells were served by fallback lanes.
 * ``repro fsck`` — verify the cache, run journals and export artifacts;
   quarantine/recover corruption (exit 3 if any was found).
 * ``repro chaos`` — deterministic crash-fault drills (worker SIGKILL,
@@ -39,18 +36,16 @@ and caps pool respawns/cell redrives after a worker is killed or hangs;
 crash supervision (respawn on a vanished worker) is on by default,
 hang detection arms with a timeout, ``--watchdog off`` disables both.
 
-Self-healing: ``--breaker 'threshold=N,cooldown=S'`` (or
-``REPRO_BREAKER``) arms per-lane circuit breakers — N consecutive
-permanent cell failures open a lane, its cells reroute down the
-fallback ladder (``--fallback``/``REPRO_FALLBACK``, default derived
-from the model registry), and after S simulated seconds a probe cell
-decides whether the lane re-closes.
+Degraded cells: a cell that keeps failing under ``--faults`` and
+``--retries`` is reported as e = 0, as Table III counts a platform a
+model cannot run on; no other model or device stands in for it.
 
 Exit codes: 0 success, 1 aborted campaign (``--fail-fast``), journal
-error (including resuming a breaker run from a journal without health
-metadata), a ``chaos`` drill that did not recover byte-identically,
+error, a ``chaos`` drill that did not recover byte-identically,
 or ``lint``/``audit`` findings at gating severity, 2 usage
-(including an unknown precision or model name), 3 ``fsck`` found
+(including an unknown precision or model name, and a journal or
+``REPRO_BREAKER``/``REPRO_FALLBACK`` setting that names the removed
+lane breaker), 3 ``fsck`` found
 corruption, 130 interrupted by SIGINT/SIGTERM (the journal is finalized
 first; resume with ``repro run --resume <run-id>``).
 """
@@ -331,15 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     status.add_argument("--format", choices=("text", "json"),
                         default="text")
 
-    health = sub.add_parser(
-        "health", help="lane-state history of a breaker-enabled run: "
-                       "breaker transitions, final lane states, "
-                       "substituted cells")
-    health.add_argument("run_id", help="run id (see `repro runs list`)")
-    health.add_argument("--dir", default=None,
-                        help="runs directory (default: $REPRO_RUNS_DIR or "
-                             "$XDG_CACHE_HOME/repro/runs)")
-
     fsck = sub.add_parser(
         "fsck", help="verify cache entries, run journals and export "
                      "artifacts; quarantine/recover corruption (exit 3 "
@@ -414,15 +400,6 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fail-fast", action="store_true",
                    help="abort on the first permanent cell failure "
                         "(exit 1) instead of degrading to e=0")
-    p.add_argument("--breaker", default=None, metavar="SPEC",
-                   help="arm per-lane circuit breakers, e.g. '3' or "
-                        "'threshold=3,cooldown=60' (consecutive permanent "
-                        "failures open a lane; cells reroute via the "
-                        "fallback ladder)")
-    p.add_argument("--fallback", default=None, metavar="SPEC",
-                   help="explicit fallback ladders, e.g. "
-                        "'numba@gpu=numba@cpu+reference' (default: derived "
-                        "from the model registry's support matrix)")
 
 
 def _cmd_machines() -> str:
@@ -513,8 +490,6 @@ def _cli_overrides(args: argparse.Namespace) -> dict:
         "retries": getattr(args, "retries", None),
         "max_cell_seconds": getattr(args, "max_cell_seconds", None),
         "fail_fast": bool(getattr(args, "fail_fast", False)),
-        "breaker": getattr(args, "breaker", None),
-        "fallback": getattr(args, "fallback", None),
         "cache": False if getattr(args, "no_cache", False) else None,
         "jobs": getattr(args, "jobs", None),
         "engine": ("serial" if getattr(args, "serial", False)
@@ -968,54 +943,6 @@ def _cmd_status(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _cmd_health(args: argparse.Namespace) -> str:
-    """Render a breaker-enabled run's lane-state history from its journal."""
-    from .harness.health import BreakerPolicy, BreakerTransition
-    from .harness.journal import RunRegistry
-
-    reg = RunRegistry(args.dir)
-    st = reg.load(args.run_id)
-    opt_payload = st.options or {}
-    lines = [f"run:     {st.run_id} ({st.status})",
-             f"journal: {st.path}"]
-    if "breaker" not in opt_payload:
-        lines.append("breakers were not enabled for this run "
-                     "(no lane health was tracked)")
-        return "\n".join(lines)
-    policy = BreakerPolicy.from_payload(opt_payload["breaker"])
-    lines.append(policy.describe())
-    if "fallback" in opt_payload:
-        from .harness.health import FallbackLadder
-        lines.append(FallbackLadder.from_payload(
-            opt_payload["fallback"]).describe())
-    else:
-        lines.append("fallbacks: registry defaults")
-    transitions = [BreakerTransition.from_payload(ev)
-                   for ev in st.breaker_events]
-    if transitions:
-        lines.append("")
-        lines.append(f"transitions ({len(transitions)}):")
-        lines += [f"  {tr.describe()}" for tr in transitions]
-        final: dict = {}
-        for tr in transitions:
-            final[tr.lane] = tr.to_state.value
-        lines.append("")
-        lines.append("final lane states:")
-        lines += [f"  {lane}: {state}" for lane, state in final.items()]
-    else:
-        lines.append("no breaker transitions (every lane stayed closed)")
-    substituted = [(fp, m) for fp, m in st.completed.items()
-                   if m.substituted_from]
-    if substituted:
-        lines.append("")
-        lines.append(f"substituted cells ({len(substituted)}):")
-        for _, m in substituted:
-            served = m.served_by or "(ladder exhausted; cell failed)"
-            lines.append(f"  {m.model} @{m.shape} <- {served} "
-                         f"[{m.ladder_hops} hop(s)]")
-    return "\n".join(lines)
-
-
 def _cmd_fsck(args: argparse.Namespace) -> "tuple[str, int]":
     from .harness.engine import ResultCache
     from .harness.journal import EXIT_FSCK_CORRUPT, RunRegistry, fsck_store
@@ -1089,7 +1016,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"repro: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:
-        # Bad --faults/--breaker/--fallback/... grammar: a usage error.
+        # Bad --faults/--retries/... grammar, or an input naming the
+        # removed lane breaker: a usage error.
         print(f"repro: {exc}", file=sys.stderr)
         return 2
 
@@ -1129,8 +1057,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         out, rc = _cmd_submit(args)
     elif args.command == "status":
         out = _cmd_status(args)
-    elif args.command == "health":
-        out = _cmd_health(args)
     elif args.command == "fsck":
         out, rc = _cmd_fsck(args)
     elif args.command == "chaos":

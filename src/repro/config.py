@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Mapping, Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, breaker_removed
 
 __all__ = ["RunConfig", "KNOWN_VARIABLES", "resolve_campaign_spec",
            "resolve_run_options", "resolve_run_settings"]
@@ -49,8 +49,6 @@ KNOWN_VARIABLES: Dict[str, str] = {
                      "(0 retries at once)",
     "REPRO_MAX_CELL_SECONDS": "per-cell simulated-time budget for retries",
     "REPRO_FAIL_FAST": "abort the sweep on the first permanent cell failure",
-    "REPRO_BREAKER": "circuit-breaker spec (e.g. threshold=3,cooldown=300)",
-    "REPRO_FALLBACK": "fallback-ladder spec (e.g. numba@gpu=numba@cpu+reference)",
     "REPRO_RUNS_DIR": "run-journal registry directory",
     "REPRO_JOURNAL": "write-ahead run journal on/off (default on)",
     "REPRO_WATCHDOG": "process-pool watchdog spec (e.g. "
@@ -245,14 +243,16 @@ def resolve_run_settings(cli: Optional[Mapping[str, object]] = None,
     1. **CLI** — a non-``None`` entry in ``cli`` wins outright, without
        the variable being read.  Keys mirror the run-subcommand flags:
        ``faults``, ``retries``, ``max_cell_seconds``, ``fail_fast``
-       (``True`` only; ``False`` means "flag not given"), ``breaker``,
-       ``fallback``, ``cache``, ``jobs``, ``engine``
+       (``True`` only; ``False`` means "flag not given"), ``cache``,
+       ``jobs``, ``engine``
        (``serial``/``process``), ``tenant``, ``priority``, ``deadline``,
        ``submission_key``, ``watchdog``, ``journal``, ``client_retries``.
     2. **Environment** — the ``REPRO_*`` variables fill anything the CLI
        left unset.  An empty value means unset; any other value is
        parsed by :class:`RunConfig`'s typed accessors or the policy's
-       grammar, and a bad one is a :class:`ConfigError`.
+       grammar, and a bad one is a :class:`ConfigError`.  So is a
+       non-empty ``REPRO_BREAKER`` or ``REPRO_FALLBACK``: the lane
+       breaker they configured was removed.
     3. **Defaults** — campaign fields neither layer set stay ``None``,
        which means "inherit the process-wide default" at run time
        (tenant defaults to ``"default"``, priority to ``0``); the
@@ -269,15 +269,17 @@ def resolve_run_settings(cli: Optional[Mapping[str, object]] = None,
     """
     from .harness.engine.options import RetryPolicy
     from .harness.engine.watchdog import WatchdogPolicy
-    from .harness.health import BreakerPolicy, FallbackLadder
     from .service.spec import check_spec_fields
     from .sim.faults import FaultConfig
 
     cli = {k: v for k, v in (cli or {}).items() if v is not None}
     if not cli.get("fail_fast"):
         cli.pop("fail_fast", None)
-    env = RunConfig({k: v for k, v in (os.environ if environ is None
-                                       else environ).items()
+    raw_env = os.environ if environ is None else environ
+    for var in ("REPRO_BREAKER", "REPRO_FALLBACK"):
+        if raw_env.get(var, "").strip():
+            raise breaker_removed(var)
+    env = RunConfig({k: v for k, v in raw_env.items()
                      if k in KNOWN_VARIABLES and v.strip()})
 
     def pick(key: str, var: str, read=env.get):
@@ -318,8 +320,6 @@ def resolve_run_settings(cli: Optional[Mapping[str, object]] = None,
         "retry": retry,
         "fail_fast": pick("fail_fast", "REPRO_FAIL_FAST",
                           lambda var: env.get_bool(var, None)),
-        "breaker": policy("breaker", "REPRO_BREAKER", BreakerPolicy),
-        "fallback": policy("fallback", "REPRO_FALLBACK", FallbackLadder),
         "tenant": pick("tenant", "REPRO_TENANT") or "default",
         "priority": pick("priority", "REPRO_PRIORITY",
                          lambda var: env.get_int(var, 0, minimum=None)),
@@ -366,7 +366,7 @@ def resolve_run_options(cli: Optional[Mapping[str, object]] = None,
     settings = resolve_run_settings(cli, environ)
     return RunOptions(watchdog=settings["watchdog"], **{
         key: settings[key]
-        for key in ("faults", "retry", "fail_fast", "breaker", "fallback")
+        for key in ("faults", "retry", "fail_fast")
         if settings[key] is not None})
 
 

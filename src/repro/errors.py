@@ -118,6 +118,20 @@ class ConfigError(ReproError):
     """Invalid environment-style configuration value."""
 
 
+def breaker_removed(source: str) -> ConfigError:
+    """The error for an input that still names the removed lane breaker
+    or fallback ladder.
+
+    A breaker run served failing cells from other models or devices, so
+    it measured something a plain run does not; such inputs are refused,
+    never loaded as if they were plain.
+    """
+    return ConfigError(
+        f"{source} names the lane breaker / fallback ladder, which was "
+        f"removed: a cell that fails counts as e = 0, as in Table III; "
+        f"rerun without breaker/fallback settings")
+
+
 class CacheError(ReproError):
     """The sweep-result cache was used incorrectly (e.g. a malformed key).
 

@@ -12,7 +12,7 @@ Process-wide defaults: :func:`default_engine` and
 :func:`default_run_options` are built on first use from the one pass
 over the ``REPRO_*`` run settings, :func:`repro.config.resolve_run_settings`
 (``REPRO_CACHE``, ``REPRO_JOBS`` and ``REPRO_ENGINE`` select the engine;
-the fault, retry, breaker and watchdog settings form the options), and
+the fault, retry and watchdog settings form the options), and
 the ``reset_*`` functions drop them so the next use reads the settings
 again.  ``REPRO_CACHE_DIR`` relocates the cache (default
 ``$XDG_CACHE_HOME/repro/results``).

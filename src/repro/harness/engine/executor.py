@@ -2,8 +2,8 @@
 
 ``SweepEngine.run`` is contractually bit-identical to the serial
 reference loop.  Every cell goes through the cell core
-(:mod:`repro.harness.engine.cell`, which also documents the fault,
-trace and breaker semantics of a cell); the engine only schedules it.
+(:mod:`repro.harness.engine.cell`, which also documents the fault
+and trace semantics of a cell); the engine only schedules it.
 ``mode="serial"`` (the default) runs the cells inline in cell order.
 ``mode="process"`` (``--engine process`` / ``REPRO_ENGINE=process``)
 dispatches each cache-missed cell to a ``ProcessPoolExecutor`` worker
@@ -11,7 +11,6 @@ carrying a frozen payload (see :mod:`repro.harness.engine.worker`),
 scaling ``--jobs`` past one core; the parent stays the single writer of
 the journal and the sole merge point, recording results in cell order,
 while workers write the (multi-process-safe) result cache themselves.
-Breaker-enabled runs always run inline: lane state crosses cells.
 
 Observability: every run produces a :class:`SweepReport` with per-cell
 wall-clock offsets/timings, attempt counts and cache outcomes,
@@ -44,17 +43,14 @@ from ...trace.events import EventKind
 from ...trace.profiler import Profiler
 from ..experiment import Experiment
 from ..export import measurement_from_dict, measurement_to_dict
-from ..health import BreakerTransition
 from ..journal.signals import graceful_shutdown
 from ..results import ResultSet
 from .cache import ResultCache
 from .cell import (
-    BREAKER_EVENT,
     CellOutcome,
     CellPlan,
     CellRecord,
     execute_cell,
-    executed_status,
     lookup_cell,
     record_cell,
     run_cell,
@@ -88,8 +84,6 @@ class SweepReport:
     wall_s: float = 0.0
     #: Run identity when the sweep is journaled ("" otherwise).
     run_id: str = ""
-    #: Breaker transition history, in cell order (breaker runs only).
-    transitions: List[BreakerTransition] = field(default_factory=list)
     #: Worker-pool kill/rebuild cycles the watchdog performed (process
     #: engine only; 0 on a healthy run).
     respawns: int = 0
@@ -111,10 +105,6 @@ class SweepReport:
     @property
     def failed_cells(self) -> int:
         return sum(1 for c in self.cells if c.failed)
-
-    @property
-    def substituted_cells(self) -> int:
-        return sum(1 for c in self.cells if c.substituted)
 
     @property
     def total_attempts(self) -> int:
@@ -145,18 +135,6 @@ class SweepReport:
             prof.record_at(EventKind.CELL, f"{cell.model}@{cell.shape}",
                            cell.start_s, cell.wall_s, cached=cell.cached,
                            status=cell.status, attempts=cell.attempts)
-            if cell.substituted:
-                prof.record_at(EventKind.SUBSTITUTION,
-                               f"{cell.model}@{cell.shape}<-{cell.served_by}",
-                               cell.start_s, 0.0, served_by=cell.served_by)
-        for tr in self.transitions:
-            # Anchor each transition at its cell's wall-clock offset (the
-            # breaker clock itself is simulated lane time).
-            offset = (self.cells[tr.cell_index].start_s
-                      if 0 <= tr.cell_index < len(self.cells) else 0.0)
-            prof.record_at(BREAKER_EVENT[tr.to_state], tr.lane, offset, 0.0,
-                           cell=tr.cell_index, at_s=tr.at_s,
-                           reason=tr.reason)
         return prof
 
     def _fanout_label(self) -> str:
@@ -170,8 +148,6 @@ class SweepReport:
             + (f"{self.replayed_cells} replayed, " if self.replayed_cells
                else "")
             + f"{self.executed_cells} executed"
-            + (f", {self.substituted_cells} SUBSTITUTED"
-               if self.substituted_cells else "")
             + (f", {self.failed_cells} FAILED" if self.degraded else "")
             + f") in {self.wall_s * 1e3:.1f} ms wall "
             f"[{self._fanout_label()}]",
@@ -187,9 +163,7 @@ class SweepReport:
                          f"{self.redrives} cell redrive(s)")
         for cell in self.cells:
             origin = {"cached": "cache", "failed": "FAILED",
-                      "replayed": "replay",
-                      "substituted": f"<- {cell.served_by}",
-                      }.get(cell.status, "sim")
+                      "replayed": "replay"}.get(cell.status, "sim")
             retries = (f"  ({cell.attempts} attempts, {cell.faults} faults)"
                        if cell.attempts > 1 or cell.faults else "")
             lines.append(f"  {cell.model:>12s} @{cell.shape:<18s} "
@@ -201,10 +175,6 @@ class SweepReport:
                     lines.append(f"  {cell.model} @{cell.shape} failed after "
                                  f"{cell.attempts} attempts "
                                  f"({cell.faults} faults)")
-        if self.transitions:
-            lines.append("breaker transitions:")
-            for tr in self.transitions:
-                lines.append(f"  {tr.describe()}")
         return "\n".join(lines)
 
 
@@ -282,9 +252,7 @@ class SweepEngine:
                  else contextlib.nullcontext())
         try:
             with guard:
-                # Breaker state crosses cell boundaries, so breaker runs
-                # always execute inline, in cell order.
-                if self.parallel and plan.health is None:
+                if self.parallel:
                     self._drive_process(plan, counts)
                 else:
                     for i in range(total):
@@ -327,8 +295,6 @@ class SweepEngine:
             engine=self.mode,
             wall_s=plan.elapsed(),
             run_id=run_id,
-            transitions=(list(plan.health.transitions)
-                         if plan.health is not None else []),
             respawns=counts["respawns"],
             redrives=counts["redrives"],
         )
@@ -527,5 +493,5 @@ def _decode_result(result: dict, start_s: float) -> CellOutcome:
         trace = Profiler()
         for kind, name, duration_s, meta in result["events"]:
             trace.record(EventKind(kind), name, duration_s, **meta)
-    return CellOutcome(m, executed_status(m), start_s, result["wall_s"],
+    return CellOutcome(m, "failed" if m.failed else "ok", start_s, result["wall_s"],
                        result["attempts"], result["faults"], trace=trace)

@@ -26,7 +26,6 @@ from ..._version import __version__
 from ...core.types import MatrixShape
 from ...sim.faults import FaultConfig
 from ..experiment import Experiment
-from ..health import BreakerPolicy, FallbackLadder
 
 __all__ = ["CONSTANTS_VERSION", "campaign_fingerprint", "cell_fingerprint",
            "fingerprint_payload"]
@@ -86,19 +85,12 @@ def cell_fingerprint(experiment: Experiment, model_name: str,
 
 
 def campaign_fingerprint(experiment: Experiment,
-                         faults: Optional[FaultConfig] = None, *,
-                         breaker: Optional[BreakerPolicy] = None,
-                         fallback: Optional[FallbackLadder] = None) -> str:
+                         faults: Optional[FaultConfig] = None) -> str:
     """Hex SHA-256 identity of a whole campaign, for the run journal.
 
     Covers the full experiment manifest, the fault model (when enabled)
     and :data:`CONSTANTS_VERSION` — everything that decides what a sweep
-    computes.  An *enabled* breaker policy (and, with it, the fallback
-    ladder actually in force) joins too: breakers change routing, hence
-    what a campaign measures, so a breaker run can never be resumed from
-    a non-breaker journal or vice versa.  Disabled breakers add nothing,
-    keeping every pre-health-layer fingerprint stable.  A journal whose
-    recorded campaign fingerprint no longer matches cannot be resumed
+    computes.  A journal whose recorded campaign fingerprint no longer matches cannot be resumed
     byte-identically, so resume refuses it.
     """
     payload = {
@@ -108,9 +100,5 @@ def campaign_fingerprint(experiment: Experiment,
     }
     if faults is not None and faults.enabled:
         payload["faults"] = faults.payload()
-    if breaker is not None and breaker.enabled:
-        payload["breaker"] = breaker.payload()
-        if fallback is not None:
-            payload["fallback"] = fallback.payload()
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

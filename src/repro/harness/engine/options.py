@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Mapping, Optional
 from ...errors import ConfigError
 from ...sim.faults import FaultConfig
 from ...trace.profiler import Profiler
-from ..health import BreakerPolicy, FallbackLadder
 from .watchdog import WatchdogPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -115,15 +114,6 @@ class RunOptions:
     replay: Optional[Mapping[str, "Measurement"]] = None
     #: Explicit run identity; defaults to the journal's (if any).
     run_id: Optional[str] = None
-    #: Per-lane circuit breaker policy; the default (threshold 0) keeps
-    #: the health layer entirely out of the run path.
-    breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
-    #: Explicit fallback routing; ``None`` derives ladders from the model
-    #: registry's device-support matrix when breakers are enabled.
-    fallback: Optional[FallbackLadder] = None
-    #: Fingerprint -> per-cell health metadata from a prior run's journal
-    #: (breaker resumes replay these through the lane state machines).
-    replay_meta: Optional[Mapping[str, Mapping[str, object]]] = None
     #: Process-engine supervision (hang deadlines, pool respawn bounds).
     #: Parent-side scaffolding only: never fingerprinted or journaled,
     #: so the policy cannot change result bytes.
@@ -147,21 +137,14 @@ class RunOptions:
         original run (those knobs decide *which* cells fail, so byte-
         identical resume must reuse them, not the current environment).
         """
-        out = {
+        return {
             "faults": self.faults.payload(),
             "retry": self.retry.payload(),
             "fail_fast": self.fail_fast,
         }
-        # Breaker knobs join the payload only when enabled, keeping the
-        # journal bytes of every non-breaker run identical to PR 4's.
-        if self.breaker.enabled:
-            out["breaker"] = self.breaker.payload()
-            if self.fallback is not None:
-                out["fallback"] = self.fallback.payload()
-        return out
 
     @property
     def resilient(self) -> bool:
         """Whether any fault/retry machinery is active for this run."""
         return (self.faults.enabled or self.retry.max_attempts > 1
-                or self.fail_fast or self.breaker.enabled)
+                or self.fail_fast)

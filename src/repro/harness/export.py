@@ -21,14 +21,10 @@ Schema history:
   top-level ``degraded`` flag.  v1/v2 documents load with every cell's
   ``failed`` defaulting to False (those schemas predate the fault
   layer, so nothing in them can be a failed cell).
-* v4 — substitution provenance (the breaker/fallback layer): cells a
-  fallback lane served carry ``substituted_from`` / ``served_by`` /
-  ``ladder_hops`` (and ``status`` may now be ``"substituted"``), and
-  the document a top-level ``substituted`` flag.  The per-cell keys are
-  sparse — present only on cells with provenance — so a non-breaker
-  export differs from its v3 form only in the schema number and the
-  document-level flag.  v1/v2/v3 documents load with no cell
-  substituted (they predate the health layer).
+* v4 — adds the document-level ``substituted`` flag, always ``false``
+  since the lane breaker and fallback ladder were removed.  A v4 cell
+  that still carries ``substituted_from`` came from a breaker run, which
+  measured something a plain run does not, so the loader refuses it.
 """
 
 from __future__ import annotations
@@ -59,7 +55,7 @@ SUPPORTED_SCHEMAS = (1, 2, 3, 4)
 
 def measurement_to_dict(m: Measurement) -> Dict[str, Any]:
     """Full-fidelity dict of one measurement (schema v4 cell record)."""
-    out = {
+    return {
         "model": m.model,
         "display": m.display,
         "size": m.shape.m,
@@ -74,12 +70,6 @@ def measurement_to_dict(m: Measurement) -> Dict[str, Any]:
         "gflops": m.gflops if m.supported else None,
         "seconds_mean": m.seconds if m.supported else None,
     }
-    if m.substituted_from:
-        # Sparse provenance keys: only cells the health layer touched.
-        out["substituted_from"] = m.substituted_from
-        out["served_by"] = m.served_by
-        out["ladder_hops"] = m.ladder_hops
-    return out
 
 
 def measurement_from_dict(data: Dict[str, Any],
@@ -111,9 +101,6 @@ def measurement_from_dict(data: Dict[str, Any],
         note=data.get("note", ""),
         bound=data.get("bound", ""),
         failed=data.get("status") == "failed",
-        substituted_from=data.get("substituted_from", ""),
-        served_by=data.get("served_by", ""),
-        ladder_hops=int(data.get("ladder_hops", 0)),
     )
 
 
@@ -137,7 +124,8 @@ def result_set_to_dict(rs: ResultSet) -> Dict[str, Any]:
             "include_transfers": exp.include_transfers,
         },
         "degraded": rs.degraded,
-        "substituted": rs.substituted,
+        # Kept so v4 documents stay byte-stable; no cell is substituted.
+        "substituted": False,
         "measurements": [measurement_to_dict(m) for m in rs.measurements],
     }
 
@@ -146,7 +134,8 @@ def result_set_from_dict(data: Dict[str, Any]) -> ResultSet:
     """Inverse of :func:`result_set_to_dict`.
 
     Raises :class:`~repro.errors.ExperimentError` on unknown schema
-    versions so stale cache entries and foreign documents fail loudly.
+    versions so stale cache entries and foreign documents fail loudly,
+    and on a cell served by the removed fallback ladder.
     """
     schema = data.get("schema")
     if schema not in SUPPORTED_SCHEMAS:
@@ -170,6 +159,12 @@ def result_set_from_dict(data: Dict[str, Any]) -> ResultSet:
     )
     rs = ResultSet(experiment)
     for mdata in data.get("measurements", ()):
+        if mdata.get("substituted_from"):
+            raise ExperimentError(
+                f"cell {mdata.get('model')}@{mdata.get('size')} was served "
+                f"by the removed fallback ladder (substituted_from "
+                f"{mdata['substituted_from']!r}); a breaker run measured "
+                f"something a plain run does not, so it is not loaded")
         rs.add(measurement_from_dict(mdata,
                                      default_precision=experiment.precision))
     return rs
@@ -233,7 +228,7 @@ def table3_to_dict(t3: Table3Result) -> Dict[str, Any]:
     """Structured form of Table III: one row per (model, precision)."""
     out: Dict[str, Any] = {"schema": SCHEMA_VERSION, "rows": [],
                            "degraded_cells": list(t3.degraded_cells),
-                           "substituted_cells": list(t3.substituted_cells)}
+                           "substituted_cells": []}
     for row in t3.rows:
         out["rows"].append({
             "model": row.model,

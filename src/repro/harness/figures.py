@@ -270,10 +270,6 @@ class Table3Result:
     #: ``"model @shape (platform, precision)"`` labels of permanently
     #: failed cells, when the table was computed from a degraded campaign.
     degraded_cells: List[str] = field(default_factory=list)
-    #: ``"model @shape (platform, precision) <- served_by"`` labels of
-    #: cells a fallback lane served; their e is computed against what
-    #: actually ran (0 for cross-model serves), never silently inflated.
-    substituted_cells: List[str] = field(default_factory=list)
 
     @property
     def degraded(self) -> bool:
@@ -281,7 +277,9 @@ class Table3Result:
 
     @property
     def substituted(self) -> bool:
-        return bool(self.substituted_cells)
+        # Always False: no other lane stands in for a failed cell any
+        # more.  Kept because callers outside the package still read it.
+        return False
 
     def row(self, model: str, precision: Precision) -> Table3Row:
         for r in self.rows:
@@ -311,13 +309,6 @@ class Table3Result:
                      "contribute e=0 to their panel means:"]
             lines += [f"  {label}" for label in self.degraded_cells]
             text = "\n".join(lines)
-        if self.substituted:
-            lines = [text, "",
-                     f"SUBSTITUTED: {len(self.substituted_cells)} cells were "
-                     "served by fallback lanes; e is computed against what "
-                     "actually ran (0 for cross-model serves):"]
-            lines += [f"  {label}" for label in self.substituted_cells]
-            text = "\n".join(lines)
         return text
 
 
@@ -340,11 +331,6 @@ def table3(sizes: Sequence[int] = QUICK_SIZES) -> Table3Result:
             result.degraded_cells += [
                 f"{m.model} @{m.shape} ({platform}, {precision.value})"
                 for m in rs.failed_cells()
-            ]
-            result.substituted_cells += [
-                f"{m.model} @{m.shape} ({platform}, {precision.value}) "
-                f"<- {m.served_by}"
-                for m in rs.substituted_cells()
             ]
         for model in portable:
             effs = [per_model[model].get(p) for p in _PLATFORM_ORDER]

@@ -15,9 +15,7 @@ Record types, in the order a run writes them::
                 resilience options, the planned cell list
     cell-start  a cell was executed (written just ahead of its outcome)
     cell-done   a cell completed; embeds the full measurement payload
-                (+ per-cell health metadata on breaker-enabled runs)
     cell-failed a cell permanently failed; embeds the degraded payload
-    breaker     a lane's circuit breaker changed state (breaker runs)
     campaign    service metadata: the campaign's scheduler state
                 (queued/admitted/running/done/failed), tenant, priority
                 and — on the first record — the full CampaignSpec
@@ -209,38 +207,20 @@ class RunJournal:
     def cell_done(self, index: int, fingerprint: str,
                   measurement: Measurement, *, cached: bool,
                   wall_s: float, attempts: int = 1,
-                  faults: int = 0,
-                  health: Optional[Dict[str, Any]] = None) -> None:
-        """A cell completed; the embedded payload makes it replayable.
-
-        ``health`` is the per-cell health metadata of breaker-enabled
-        runs (native outcome plus simulated costs); replaying it in cell
-        order walks every lane's state machine through identical
-        transitions on resume.  ``None`` — every non-breaker run — keeps
-        the record bytes exactly as before the health layer existed.
-        """
-        data: Dict[str, Any] = dict(index=index, fingerprint=fingerprint,
-                                    cached=cached, wall_s=wall_s,
-                                    attempts=attempts, faults=faults,
-                                    measurement=measurement_to_dict(
-                                        measurement))
-        if health is not None:
-            data["health"] = health
-        self.append("cell-done", **data)
+                  faults: int = 0) -> None:
+        """A cell completed; the embedded payload makes it replayable."""
+        self.append("cell-done", index=index, fingerprint=fingerprint,
+                    cached=cached, wall_s=wall_s, attempts=attempts,
+                    faults=faults,
+                    measurement=measurement_to_dict(measurement))
 
     def cell_failed(self, index: int, fingerprint: str,
                     measurement: Measurement, *, attempts: int,
-                    faults: int, reason: str,
-                    health: Optional[Dict[str, Any]] = None) -> None:
+                    faults: int, reason: str) -> None:
         """A cell permanently failed; the degraded payload is replayable."""
-        data: Dict[str, Any] = dict(index=index, fingerprint=fingerprint,
-                                    attempts=attempts, faults=faults,
-                                    reason=reason,
-                                    measurement=measurement_to_dict(
-                                        measurement))
-        if health is not None:
-            data["health"] = health
-        self.append("cell-failed", **data)
+        self.append("cell-failed", index=index, fingerprint=fingerprint,
+                    attempts=attempts, faults=faults, reason=reason,
+                    measurement=measurement_to_dict(measurement))
 
     def campaign_state(self, state: str, *, tenant: str = "",
                        priority: int = 0,
@@ -260,16 +240,6 @@ class RunJournal:
             data["spec"] = spec
         data.update(extra)
         self.append("campaign", **data)
-
-    def breaker(self, *, lane: str, **payload: Any) -> None:
-        """One breaker transition (the write-ahead lane-state history).
-
-        Takes the keys of
-        :meth:`repro.harness.health.BreakerTransition.payload` so the
-        engine can journal a drained transition verbatim; ``repro
-        health`` reconstructs the history from these records.
-        """
-        self.append("breaker", lane=lane, **payload)
 
     def close_run(self, status: str, completed: int, total: int) -> None:
         """Finalize the journal; further appends become no-ops."""
@@ -318,10 +288,6 @@ class JournalState:
     options: Dict[str, Any] = field(default_factory=dict)
     cells: List[Dict[str, Any]] = field(default_factory=list)
     completed: Dict[str, Measurement] = field(default_factory=dict)
-    #: Fingerprint -> per-cell health metadata (breaker-enabled runs).
-    outcomes: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: Breaker transition payloads, in journal order.
-    breaker_events: List[Dict[str, Any]] = field(default_factory=list)
     #: Latest ``campaign`` record's data (service-submitted runs only):
     #: scheduler state, tenant, priority, and the spec payload from the
     #: first such record.  Empty for plain ``repro run`` journals.
@@ -426,10 +392,6 @@ def load_journal(path: str) -> JournalState:
             m = measurement_from_dict(data["measurement"],
                                       default_precision=default_precision)
             state.completed[data["fingerprint"]] = m
-            if isinstance(data.get("health"), dict):
-                state.outcomes[data["fingerprint"]] = data["health"]
-        elif rtype == "breaker":
-            state.breaker_events.append(dict(data))
         elif rtype == "campaign":
             # Later records carry state transitions but not the spec;
             # keep the spec from whichever record last carried one.

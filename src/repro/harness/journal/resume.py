@@ -17,17 +17,18 @@ samples, same rendering.  Three properties make that possible:
 The resilience options (fault config, retry policy, ``fail_fast``) are
 restored from the journal rather than the environment: they decide
 *which* cells fail, so honoring the CLI flags of the moment would break
-identity with the original run.
+identity with the original run.  A journal whose options name the
+removed lane breaker is refused with :class:`~repro.errors.ConfigError`:
+its replayed cells were routed by rules a plain run does not follow.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ...errors import JournalError
+from ...errors import JournalError, breaker_removed
 from ...sim.faults import FaultConfig
 from ..experiment import Experiment
-from ..health import BreakerPolicy, FallbackLadder
 from ..results import ResultSet
 from ..engine.fingerprint import campaign_fingerprint
 from ..engine.options import RetryPolicy, RunOptions
@@ -50,31 +51,20 @@ def restore_campaign(state: JournalState) -> Tuple[Experiment, RunOptions]:
         raise JournalError(f"journal {state.path} carries no manifest")
     experiment = Experiment.from_dict(state.manifest)
     opt_payload = state.options or {}
+    if "breaker" in opt_payload or "fallback" in opt_payload:
+        raise breaker_removed(f"run {state.run_id}'s journal")
     faults = FaultConfig.from_payload(opt_payload.get("faults", {}))
     retry = RetryPolicy.from_payload(opt_payload.get("retry", {}))
-    breaker = (BreakerPolicy.from_payload(opt_payload["breaker"])
-               if "breaker" in opt_payload else BreakerPolicy())
-    fallback = (FallbackLadder.from_payload(opt_payload["fallback"])
-                if "fallback" in opt_payload else None)
-    # The *effective* ladder joins the fingerprint: an absent fallback
-    # payload means the run used registry-derived defaults, which must
-    # re-derive identically for the resumed halves to splice.
-    effective = fallback
-    if breaker.enabled and effective is None:
-        effective = FallbackLadder.default_for(experiment)
-    expected = campaign_fingerprint(experiment, faults, breaker=breaker,
-                                    fallback=effective)
+    expected = campaign_fingerprint(experiment, faults)
     if state.campaign and state.campaign != expected:
         raise JournalError(
             f"run {state.run_id} was journaled under campaign fingerprint "
             f"{state.campaign[:12]}... but this build computes "
-            f"{expected[:12]}... — the experiment, fault model, breaker "
-            f"policy or cost-model constants changed; rerun instead of "
-            f"resuming")
+            f"{expected[:12]}... — the experiment, fault model or "
+            f"cost-model constants changed; rerun instead of resuming")
     options = RunOptions(
         retry=retry, faults=faults,
         fail_fast=bool(opt_payload.get("fail_fast", False)),
-        breaker=breaker, fallback=fallback,
     )
     return experiment, options
 
@@ -109,8 +99,7 @@ def resume_run(run_id: str, registry: Optional[RunRegistry] = None,
     journal = reg.reopen(run_id)
     journal.resume_run(completed=state.done_cells, total=state.total_cells)
     restored = replace(restored, journal=journal,
-                       replay=dict(state.completed),
-                       replay_meta=dict(state.outcomes))
+                       replay=dict(state.completed))
     try:
         return run_campaign(CampaignSpec(experiment=experiment),
                             engine=engine, options=restored)

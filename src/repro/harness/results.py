@@ -26,16 +26,6 @@ class Measurement:
     ``supported=False`` so no consumer ever reads samples from them, and
     Table III's accounting charges them as e = 0 like the paper does for
     unsupported cells.
-
-    Substitution provenance (the breaker/fallback layer): a cell whose
-    native lane was OPEN and that was served by a fallback lane keeps
-    its original ``model``/``display`` (so it slots into the same
-    table/figure column) but records where it really ran —
-    ``substituted_from`` names the sick origin lane (``"numba@gpu"``),
-    ``served_by`` the lane that produced the samples (``"numba@cpu"``),
-    and ``ladder_hops`` how far down the declared ladder the serve
-    landed.  A cell with ``substituted_from`` set but ``served_by``
-    empty was rerouted and *still* failed (ladder exhausted).
     """
 
     model: str
@@ -48,25 +38,13 @@ class Measurement:
     note: str = ""
     bound: str = ""
     failed: bool = False
-    substituted_from: str = ""
-    served_by: str = ""
-    ladder_hops: int = 0
 
     @property
     def status(self) -> str:
-        """Per-cell status: ``"ok"``, ``"unsupported"``, ``"failed"`` or
-        ``"substituted"``."""
+        """Per-cell status: ``"ok"``, ``"unsupported"`` or ``"failed"``."""
         if self.failed:
             return "failed"
-        if self.substituted:
-            return "substituted"
         return "ok" if self.supported else "unsupported"
-
-    @property
-    def substituted(self) -> bool:
-        """Whether a fallback lane served this cell (and it succeeded)."""
-        return bool(self.substituted_from) and bool(self.served_by) \
-            and not self.failed
 
     @property
     def kernel_times(self) -> Tuple[float, ...]:
@@ -183,18 +161,9 @@ class ResultSet:
         """Whether this sweep lost at least one cell to failures."""
         return any(m.failed for m in self.measurements)
 
-    def substituted_cells(self) -> List[Measurement]:
-        """Every fallback-served cell, in insertion order."""
-        return [m for m in self.measurements if m.substituted]
-
-    @property
-    def substituted(self) -> bool:
-        """Whether any cell of this sweep was served by a fallback lane."""
-        return any(m.substituted for m in self.measurements)
-
     def status_counts(self) -> Dict[str, int]:
         """Cell counts per status — the degraded-mode report headline."""
-        out = {"ok": 0, "unsupported": 0, "failed": 0, "substituted": 0}
+        out = {"ok": 0, "unsupported": 0, "failed": 0}
         for m in self.measurements:
             out[m.status] += 1
         return out
@@ -222,13 +191,6 @@ class ResultSet:
         nothing, the paper's e = 0 accounting for lost coverage — whereas
         *unsupported* cells are skipped entirely (they never belonged in
         the mean, matching how Table III derives one number per panel).
-
-        Substituted cells are priced against what *actually ran*: a
-        same-model substitution (``numba@gpu`` served by ``numba@cpu``)
-        contributes the honest ratio of the measured samples, while a
-        cross-model substitution contributes 0.0 — the model under test
-        produced nothing, and crediting it with the reference's own
-        samples would silently inflate e to 1.
         """
         out: List[float] = []
         for shape in self.shapes():
@@ -241,10 +203,6 @@ class ResultSet:
                 continue
             if mm.failed:
                 out.append(0.0)
-            elif mm.substituted:
-                served_model = mm.served_by.partition("@")[0]
-                out.append(mm.gflops / mr.gflops
-                           if served_model == mm.model else 0.0)
             elif mm.supported:
                 out.append(mm.gflops / mr.gflops)
         return out

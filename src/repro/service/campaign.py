@@ -3,7 +3,7 @@
 A :class:`CampaignExecution` is the preemptible form of
 :meth:`~repro.harness.engine.SweepEngine.run`: the same cell core
 (:mod:`repro.harness.engine.cell` — replay, cache read, retrying
-attempt, breaker routing, journal records) but driven *externally*, one
+attempt, journal records) but driven *externally*, one
 cell per :meth:`~CampaignExecution.step` call, so the fair-share
 scheduler can interleave many tenants' campaigns at cell granularity.
 The record stream each campaign's journal receives is identical to what
@@ -11,15 +11,10 @@ a dedicated engine run would have written, which is what keeps
 per-campaign reports byte-identical however the daemon interleaved
 them.
 
-Cross-campaign sharing (both deliberately scoped to the service):
-
-* the **result cache** is shared — a cell another tenant's campaign
-  already executed is served as a cache hit (journaled ``cached``, wall
-  0), so overlapping submissions execute each distinct cell once;
-* **lane health** is shared — breakers guard the simulated *node*, not
-  one campaign, so consecutive failures across tenants open a lane for
-  everyone (see :meth:`CampaignService.lane_for
-  <repro.service.service.CampaignService>`).
+Cross-campaign sharing (deliberately scoped to the service): the
+**result cache** is shared — a cell another tenant's campaign already
+executed is served as a cache hit (journaled ``cached``, wall 0), so
+overlapping submissions execute each distinct cell once.
 """
 
 from __future__ import annotations
@@ -76,7 +71,7 @@ class Campaign:
     restarts: int = 0
     stats: Dict[str, int] = field(default_factory=lambda: {
         "executed": 0, "cached": 0, "deduped": 0, "replayed": 0,
-        "failed": 0, "substituted": 0})
+        "failed": 0})
     results: Optional[ResultSet] = None
     cells_total: int = 0
     cells_done: int = 0
@@ -127,8 +122,7 @@ class CampaignExecution:
     the service: at submit, or from the journal on recovery (with the
     journal's replay maps).  ``service`` must provide the shared surface
     the execution leans on: ``cache`` (shared :class:`ResultCache` or
-    ``None``), ``lane_for`` (shared breaker lanes) and
-    ``note_executed``/``dedup_origin``/``note_dedup`` (cross-campaign
+    ``None``) and ``note_executed``/``dedup_origin``/``note_dedup`` (cross-campaign
     dedup provenance).
     """
 
@@ -147,12 +141,6 @@ class CampaignExecution:
         opts = replace(self.options, journal=self.journal, profiler=None)
         cache = self.service.cache if opts.cache is not False else None
         plan = CellPlan.build(self.campaign.spec.experiment, opts, cache)
-        if plan.health is not None:
-            # Swap in the service's shared lanes: breaker state guards
-            # the node across tenants, not one campaign's view of it.
-            for lane_spec in list(plan.health.lanes):
-                plan.health.lanes[lane_spec] = self.service.lane_for(
-                    lane_spec, opts.breaker)
         self._plan = plan
         self.campaign.cells_total = len(plan.cells)
         self._set_state("admitted")

@@ -74,6 +74,10 @@ __all__ = ["default_socket_path", "CampaignDaemon", "MAX_HANDLER_THREADS",
 #: How long the scheduler thread dozes (s) when the queue is empty.
 _IDLE_POLL_S = 0.05
 
+#: How often (s) the wire listener checks for a stop request; ``close()``
+#: waits at most this long for it (``serve_forever``'s default is 0.5).
+_LISTENER_POLL_S = 0.02
+
 #: Concurrent wire-handler threads the daemon will run; connections
 #: beyond this are answered with a raw 429 and closed instead of
 #: spawning an unbounded thread per connection (ThreadingMixIn's
@@ -447,6 +451,7 @@ class CampaignDaemon:
         """
         recovered = len(self.service.recover())
         listener = threading.Thread(target=self.server.serve_forever,
+                                    args=(_LISTENER_POLL_S,),
                                     name="repro-serve-listener",
                                     daemon=True)
         listener.start()

@@ -15,9 +15,6 @@
 * the **shared result cache** — identical cells across tenants execute
   once; later campaigns take journaled cache hits with dedup provenance
   tracked per fingerprint;
-* the **shared lane health** — circuit breakers guard the simulated
-  node, so failures accumulate across tenants and an OPEN lane reroutes
-  every campaign's cells;
 * the **ACTIVE registry state** — in-flight runs carry a pid+heartbeat
   sidecar so ``repro runs list`` and ``repro fsck`` treat them as work
   in progress rather than torn artifacts.
@@ -50,8 +47,8 @@ from ..chaos.plan import chaos_strike
 from ..errors import ConfigError, JournalError, OverloadError, ServiceError
 from ..harness.engine.cache import ResultCache
 from ..harness.engine.cell import CellPlan
+from ..harness.engine.options import RunOptions
 from ..harness.experiment import Experiment
-from ..harness.health import BreakerPolicy, LaneHealth
 from ..harness.journal import RunRegistry, restore_campaign
 from ..harness.results import ResultSet
 from .campaign import TERMINAL_STATES, Campaign, CampaignExecution
@@ -92,7 +89,6 @@ class CampaignService:
         self._executions: Dict[str, CampaignExecution] = {}
         #: Retired campaigns whose results are still held, oldest first.
         self._recent: Deque[str] = deque()
-        self._lanes: Dict[str, LaneHealth] = {}
         #: Cell fingerprint -> campaign id that executed (and cached) it.
         self._origins: Dict[str, str] = {}
         #: submission_key -> campaign id, the idempotency map.  Durable:
@@ -121,19 +117,6 @@ class CampaignService:
         self.shed_total = 0
 
     # -- shared surface for CampaignExecution ------------------------------
-
-    def lane_for(self, lane_spec: str, policy: BreakerPolicy) -> LaneHealth:
-        """The shared breaker lane for ``model@device`` across campaigns.
-
-        First breaker-enabled campaign to touch a lane creates it with
-        its policy; later campaigns share the same state machine, so
-        failures accrue node-wide rather than per tenant.
-        """
-        lane = self._lanes.get(lane_spec)
-        if lane is None:
-            lane = LaneHealth(lane_spec, policy)
-            self._lanes[lane_spec] = lane
-        return lane
 
     def note_executed(self, fingerprint: str, campaign_id: str) -> None:
         """Record which campaign actually executed (and cached) a cell."""
@@ -272,7 +255,9 @@ class CampaignService:
         journal that no longer fingerprints is quarantined with the
         mismatch as its error.  Journals owned by another live process
         are left alone, and so, with a warning on stderr, are journals
-        whose spec this build cannot read (a newer ``spec_version``).
+        this build refuses with a :class:`ConfigError`: a newer
+        ``spec_version``, or a spec or options naming the removed lane
+        breaker.
 
         The idempotency map is rebuilt from *every* service journal —
         finished ones included — so a submit retried across a daemon
@@ -303,14 +288,20 @@ class CampaignService:
                     continue
                 if self.registry.active_info(run_id) is not None:
                     continue  # another live daemon owns it
+                options: Optional[RunOptions] = None
+                mismatch = ""
                 try:
                     spec = spec_from_dict(payload)
+                    _, options = restore_campaign(state)
                 except ConfigError as exc:
-                    # Most likely a spec from a newer build: leave the
-                    # journal untouched so that build can still finish it.
+                    # A spec from a newer build, or a campaign of the
+                    # removed lane breaker: leave the journal untouched
+                    # so a build that reads it can still finish it.
                     print(f"repro: service: not recovering campaign "
                           f"{run_id}: {exc}", file=sys.stderr)
                     continue
+                except JournalError as exc:
+                    mismatch = str(exc)
                 # The deadline counts from the journal's birth, not the
                 # restart: daemon crashes must never extend a budget.
                 campaign = Campaign(campaign_id=run_id, spec=spec,
@@ -320,11 +311,9 @@ class CampaignService:
                 campaign.cells_total = state.total_cells
                 self.campaigns[run_id] = campaign
                 journal = self.registry.reopen(run_id)
-                try:
-                    _, options = restore_campaign(state)
-                except JournalError as exc:
+                if options is None:
                     campaign.cells_done = state.done_cells
-                    self._quarantine(run_id, str(exc), journal)
+                    self._quarantine(run_id, mismatch, journal)
                     continue
                 self.scheduler.submit(run_id, spec.tenant, spec.priority,
                                       preadmitted=True)
@@ -336,8 +325,7 @@ class CampaignService:
                 self._executions[run_id] = CampaignExecution(
                     self, campaign, journal,
                     replace(options, cache=spec.cache,
-                            replay=dict(state.completed),
-                            replay_meta=dict(state.outcomes)))
+                            replay=dict(state.completed)))
                 recovered.append(run_id)
         return recovered
 
@@ -477,8 +465,7 @@ class CampaignService:
         campaign.results = None
         self._executions[campaign_id] = CampaignExecution(
             self, campaign, journal,
-            replace(crashed.options, replay=dict(state.completed),
-                    replay_meta=dict(state.outcomes)))
+            replace(crashed.options, replay=dict(state.completed)))
         return True
 
     def _quarantine(self, campaign_id: str, reason: str, journal) -> bool:

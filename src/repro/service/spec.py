@@ -20,8 +20,8 @@ Schema history:
 
 * v1 — initial: experiment (the export-schema experiment block), engine
   mode / jobs / cache tri-states, the resilience grammars (faults,
-  retry, fail_fast, breaker, fallback) in their journal payload forms,
-  and the service-level ``tenant`` / ``priority`` pair.
+  retry, fail_fast; v1 also had breaker and fallback) in their journal
+  payload forms, and the service-level ``tenant`` / ``priority`` pair.
 * v2 — adds two optional service-level fields: ``deadline_s`` (a
   wall-clock budget from submission; at the first cell boundary past it
   the campaign expires through the degraded path) and
@@ -34,7 +34,10 @@ Schema history:
 Documents of either version may name ``"engine": "thread"``, an
 executor that no longer exists; they load as ``"serial"``.  The engine
 never enters a fingerprint, so a daemon recovering such a journal
-resumes the same campaign.
+resumes the same campaign.  A document that names the removed
+``breaker`` or ``fallback`` is refused with :class:`ConfigError`: that
+campaign's failing cells were served by other lanes, which a plain run
+never does.
 """
 
 from __future__ import annotations
@@ -43,11 +46,10 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
-from ..errors import ConfigError
+from ..errors import ConfigError, breaker_removed
 from ..harness.experiment import Experiment
 from ..harness.engine.executor import ENGINE_MODES
 from ..harness.engine.options import RetryPolicy, RunOptions
-from ..harness.health import BreakerPolicy, FallbackLadder
 from ..sim.faults import FaultConfig
 
 __all__ = [
@@ -77,8 +79,8 @@ class CampaignSpec:
     exactly like a run with no flags and no environment overrides.
 
     * ``engine``/``jobs``/``cache`` — executor selection;
-    * ``faults``/``retry``/``fail_fast``/``breaker``/``fallback`` — the
-      resilience layer, same grammars as the CLI flags;
+    * ``faults``/``retry``/``fail_fast`` — the resilience layer, same
+      grammars as the CLI flags;
     * ``tenant``/``priority`` — service-level identity: which fair-share
       account the campaign bills to, and its rank *within* that tenant's
       queue (higher runs first; cross-tenant order is the scheduler's);
@@ -97,8 +99,6 @@ class CampaignSpec:
     faults: Optional[FaultConfig] = None
     retry: Optional[RetryPolicy] = None
     fail_fast: Optional[bool] = None
-    breaker: Optional[BreakerPolicy] = None
-    fallback: Optional[FallbackLadder] = None
     tenant: str = "default"
     priority: int = 0
     deadline_s: Optional[float] = None
@@ -131,10 +131,6 @@ class CampaignSpec:
             out = replace(out, retry=self.retry)
         if self.fail_fast is not None:
             out = replace(out, fail_fast=self.fail_fast)
-        if self.breaker is not None:
-            out = replace(out, breaker=self.breaker)
-        if self.fallback is not None:
-            out = replace(out, fallback=self.fallback)
         return out
 
     def describe(self) -> str:
@@ -145,8 +141,6 @@ class CampaignSpec:
             knobs.append(self.engine)
         if self.faults is not None and self.faults.enabled:
             knobs.append("faults")
-        if self.breaker is not None and self.breaker.enabled:
-            knobs.append("breaker")
         extra = f" [{', '.join(knobs)}]" if knobs else ""
         return (f"{exp.exp_id}: {len(exp.models)} models x "
                 f"{len(exp.sizes)} sizes, tenant={self.tenant}, "
@@ -213,10 +207,6 @@ def spec_to_dict(spec: CampaignSpec) -> Dict[str, Any]:
         out["retry"] = spec.retry.payload()
     if spec.fail_fast is not None:
         out["fail_fast"] = spec.fail_fast
-    if spec.breaker is not None:
-        out["breaker"] = spec.breaker.payload()
-    if spec.fallback is not None:
-        out["fallback"] = spec.fallback.payload()
     if spec.deadline_s is not None:
         out["deadline_s"] = spec.deadline_s
     if spec.submission_key is not None:
@@ -233,7 +223,8 @@ def spec_from_dict(data: Dict[str, Any]) -> CampaignSpec:
     loads with the v2 fields (``deadline_s``, ``submission_key``)
     unset, and a document from a *newer* build is refused with a
     :class:`ConfigError` rather than loaded with fields silently
-    dropped.  The retired ``"thread"`` engine loads as ``"serial"``.
+    dropped.  The retired ``"thread"`` engine loads as ``"serial"``; a
+    ``breaker`` or ``fallback`` key raises :class:`ConfigError`.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"campaign spec must be a JSON object, "
@@ -243,6 +234,8 @@ def spec_from_dict(data: Dict[str, Any]) -> CampaignSpec:
         raise ConfigError(
             f"campaign spec version {version!r} is not supported by this "
             f"build (supported: {', '.join(map(str, SUPPORTED_SPEC_VERSIONS))})")
+    if "breaker" in data or "fallback" in data:
+        raise breaker_removed("campaign spec")
     if "experiment" not in data:
         raise ConfigError("campaign spec carries no experiment block")
     try:
@@ -269,10 +262,6 @@ def spec_from_dict(data: Dict[str, Any]) -> CampaignSpec:
         retry=(RetryPolicy.from_payload(data["retry"])
                if "retry" in data else None),
         fail_fast=(bool(data["fail_fast"]) if "fail_fast" in data else None),
-        breaker=(BreakerPolicy.from_payload(data["breaker"])
-                 if "breaker" in data else None),
-        fallback=(FallbackLadder.from_payload(data["fallback"])
-                  if "fallback" in data else None),
         tenant=str(data.get("tenant", "default")),
         priority=priority,
         deadline_s=(float(data["deadline_s"])

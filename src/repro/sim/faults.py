@@ -223,32 +223,24 @@ class FaultInjector:
         self.config = config
 
     def probe(self, exp_id: str, model: str, shape: MatrixShape,
-              attempt: int, lane: str = "") -> Optional[Fault]:
-        """The fault hitting this attempt, or ``None`` if it runs clean.
-
-        ``lane`` namespaces the draw: fallback serves (breaker routing)
-        pass the serving lane so their fault stream is disjoint from the
-        native lane's — rerouting a cell must never change which faults
-        any *other* attempt sees.  The default empty lane keeps native
-        attempts on exactly the pre-health-layer streams.
-        """
+              attempt: int) -> Optional[Fault]:
+        """The fault hitting this attempt, or ``None`` if it runs clean."""
         cell = f"{model}@{shape}"
-        stream = f"{cell}:{lane}" if lane else cell
         for pattern in self.config.always:
             if _pattern_matches(pattern, model, shape):
-                kind = self._kind_for(exp_id, stream, attempt)
+                kind = self._kind_for(exp_id, cell, attempt)
                 return Fault(kind=kind, cell=cell, attempt=attempt,
                              cost_s=FAULT_COSTS[kind], permanent=True)
         if self.config.rate <= 0.0:
             return None
-        rng = rng_for(self.config.seed, f"fault:{exp_id}:{stream}:{attempt}")
+        rng = rng_for(self.config.seed, f"fault:{exp_id}:{cell}:{attempt}")
         if float(rng.uniform()) >= self.config.rate:
             return None
-        kind = self._kind_for(exp_id, stream, attempt)
+        kind = self._kind_for(exp_id, cell, attempt)
         return Fault(kind=kind, cell=cell, attempt=attempt,
                      cost_s=FAULT_COSTS[kind])
 
-    def _kind_for(self, exp_id: str, stream: str, attempt: int) -> FaultKind:
+    def _kind_for(self, exp_id: str, cell: str, attempt: int) -> FaultKind:
         rng = rng_for(self.config.seed,
-                      f"fault-kind:{exp_id}:{stream}:{attempt}")
+                      f"fault-kind:{exp_id}:{cell}:{attempt}")
         return self.config.kinds[int(rng.integers(len(self.config.kinds)))]

@@ -30,10 +30,6 @@ _TID: Dict[EventKind, int] = {
     EventKind.FAULT: 8,
     EventKind.RETRY: 9,
     EventKind.REPLAY: 7,
-    EventKind.BREAKER_OPEN: 10,
-    EventKind.BREAKER_HALF_OPEN: 10,
-    EventKind.BREAKER_CLOSE: 10,
-    EventKind.SUBSTITUTION: 11,
 }
 
 _THREAD_NAMES = {
@@ -47,8 +43,6 @@ _THREAD_NAMES = {
     7: "Result cache",
     8: "Faults",
     9: "Retries",
-    10: "Breakers",
-    11: "Substitutions",
 }
 
 

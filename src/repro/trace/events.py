@@ -30,10 +30,6 @@ class EventKind(enum.Enum):
     FAULT = "fault"              # injected node fault hit one attempt
     RETRY = "retry"              # backoff before re-attempting a cell
     REPLAY = "replay"            # result replayed from a run journal
-    BREAKER_OPEN = "breaker-open"            # lane breaker tripped OPEN
-    BREAKER_HALF_OPEN = "breaker-half-open"  # cooldown elapsed; probing
-    BREAKER_CLOSE = "breaker-close"          # probe succeeded; re-closed
-    SUBSTITUTION = "substitution"  # cell served by a fallback lane
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ PACKAGES = [
     "repro.trace",
     "repro.harness",
     "repro.harness.engine",
-    "repro.harness.health",
     "repro.harness.journal",
     "repro.service",
     "repro.chaos",

@@ -4,9 +4,8 @@ The determinism contract says a cell gives the same bytes however it is
 driven.  This suite pins it at the journal: the serial engine, the
 process-pool engine and the campaign service stepping the same spec to
 completion must write the same ``cell-start`` / ``cell-done`` /
-``cell-failed`` / ``breaker`` record stream (wall clocks and run
-identity aside), under retried faults and under breaker-driven
-fallback serving alike.
+``cell-failed`` record stream (wall clocks and run identity aside),
+under retried faults.
 """
 
 import multiprocessing
@@ -17,7 +16,6 @@ from repro.core.types import DeviceKind, Precision
 from repro.harness.engine import ResultCache, RunOptions, SweepEngine
 from repro.harness.engine.options import RetryPolicy
 from repro.harness.experiment import Experiment
-from repro.harness.health import BreakerPolicy
 from repro.harness.journal import RunRegistry
 from repro.harness.runner import run_campaign
 from repro.service import CampaignService, CampaignSpec
@@ -25,20 +23,14 @@ from repro.sim.faults import FaultConfig
 
 from .test_journal import journal_record_stream
 
-CELL_RECORDS = ("cell-start", "cell-done", "cell-failed", "breaker")
+CELL_RECORDS = ("cell-start", "cell-done", "cell-failed")
 
-#: (a) transient and permanent faults under a retry budget;
-#: (b) breakers on, with a lane that fails on every attempt until it
-#: trips OPEN and its cells are served down the fallback ladder.
+#: Transient and permanent faults under a retry budget.
 CASES = {
     "faults-retries": dict(
         models=("julia", "numba", "kokkos"),
         faults=FaultConfig.parse("rate=0.4,seed=11,always=numba@512"),
         retry=RetryPolicy(max_attempts=3)),
-    "breaker-ladder": dict(
-        models=("c-openmp", "julia"),
-        faults=FaultConfig.parse("always=julia@256+julia@512+julia@1024"),
-        breaker=BreakerPolicy(threshold=2, cooldown_s=1e5)),
 }
 
 
@@ -87,13 +79,7 @@ def test_execution_paths_write_the_same_cell_record_stream(tmp_path, case):
                              ResultCache(str(tmp_path / "c-service")))
 
     # The case must exercise what it is named for.
-    types = [rtype for rtype, _ in serial]
-    if case == "faults-retries":
-        assert "cell-failed" in types
-        assert any(data.get("attempts", 1) > 1 for _, data in serial)
-    else:
-        assert "breaker" in types
-        assert any(data["measurement"].get("served_by")
-                   for rtype, data in serial if rtype == "cell-done")
+    assert "cell-failed" in [rtype for rtype, _ in serial]
+    assert any(data.get("attempts", 1) > 1 for _, data in serial)
     assert process == serial
     assert service == serial

@@ -29,6 +29,13 @@ class TestParser:
         err = capsys.readouterr().err
         assert "'serial'" in err and "'process'" in err
 
+    @pytest.mark.parametrize("flag", ["--breaker", "--fallback"])
+    def test_removed_breaker_flags_are_usage_errors(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--models", "julia", "--sizes", "256", flag, "3"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestCommands:
     def test_machines(self, capsys):

@@ -11,10 +11,10 @@ import json
 import pytest
 
 from repro.core.types import DeviceKind, Precision
+from repro.errors import ConfigError
 from repro.harness.engine import RunOptions, SweepEngine
 from repro.harness.engine.options import RetryPolicy
 from repro.harness.experiment import Experiment
-from repro.harness.health import BreakerPolicy, FallbackLadder
 from repro.harness.runner import run_campaign
 from repro.ioutil import canonical_json
 from repro.service.spec import (CampaignSpec, spec_from_json, spec_to_dict,
@@ -42,24 +42,6 @@ def test_fault_config_round_trips(config):
     assert FaultConfig.from_payload(config.payload()) == config
 
 
-@pytest.mark.parametrize("policy", [
-    BreakerPolicy(),
-    BreakerPolicy(threshold=3, cooldown_s=60.0),
-    BreakerPolicy.parse("threshold=1,cooldown=0.5"),
-])
-def test_breaker_policy_round_trips(policy):
-    assert BreakerPolicy.from_payload(policy.payload()) == policy
-
-
-@pytest.mark.parametrize("ladder", [
-    FallbackLadder(),
-    FallbackLadder.parse("numba@gpu=numba@cpu+reference"),
-    FallbackLadder.parse("numba@gpu=numba@cpu+reference,julia@gpu=julia@cpu"),
-])
-def test_fallback_ladder_round_trips(ladder):
-    assert FallbackLadder.from_payload(ladder.payload()) == ladder
-
-
 def _golden_spec():
     exp = Experiment(exp_id="golden", title="codec golden",
                      node_name="Crusher", device=DeviceKind.CPU,
@@ -70,15 +52,38 @@ def _golden_spec():
         faults=FaultConfig(rate=0.25, seed=7, always=("numba@256",)),
         retry=RetryPolicy(max_attempts=3, backoff_base_s=0.25,
                           max_cell_seconds=60.0),
-        fail_fast=False, breaker=BreakerPolicy(threshold=2, cooldown_s=60.0),
-        fallback=FallbackLadder.parse("numba@cpu=julia@cpu+reference"),
-        tenant="ci", priority=3, deadline_s=600.0,
+        fail_fast=False, tenant="ci", priority=3, deadline_s=600.0,
         submission_key="golden-1")
 
 
 #: The golden spec's document in canonical JSON, as earlier builds wrote
 #: it; the digest pins ``spec_to_json``'s indented rendering too.
 GOLDEN_SPEC = (
+    '{"cache":false,'
+    '"deadline_s":600.0,"engine":"serial","experiment":{"device":"cpu",'
+    '"exp_id":"golden","include_transfers":false,"models":["julia","numba"],'
+    '"node":"Crusher","precision":"fp64","reps":3,"seed":2023,"sizes":[256],'
+    '"threads":64,"title":"codec golden","warmup":1},"fail_fast":false,'
+    '"faults":{"always":["numba@256"],"kinds":["oom","timeout",'
+    '"jitter-spike"],"rate":0.25,"seed":7},"jobs":2,"priority":3,'
+    '"retry":{"backoff_base_s":0.25,"backoff_factor":2.0,"max_attempts":3,'
+    '"max_cell_seconds":60.0},"spec_version":2,'
+    '"submission_key":"golden-1","tenant":"ci"}')
+GOLDEN_SPEC_JSON_SHA256 = (
+    "f232dfcf332e2fa0633247930498eeefe45ad474e6c4d214167d9e94f03ce119")
+
+#: The ``run-open`` record's ``options`` payload of the golden run.
+GOLDEN_RUN_OPEN_OPTIONS = (
+    '{"fail_fast":false,'
+    '"faults":{"always":["numba@256"],"kinds":["oom","timeout",'
+    '"jitter-spike"],"rate":0.25,"seed":7},"retry":{"backoff_base_s":0.25,'
+    '"backoff_factor":2.0,"max_attempts":3,"max_cell_seconds":60.0}}')
+GOLDEN_CAMPAIGN = (
+    "5d2af34e3a0c09203028653616633289762e8a5cd157ffc6721d073dba9606f4")
+
+#: The golden spec as builds with the lane breaker wrote it: the same
+#: document plus ``breaker`` and ``fallback`` members.
+BREAKER_ERA_GOLDEN_SPEC = (
     '{"breaker":{"cooldown_s":60.0,"threshold":2},"cache":false,'
     '"deadline_s":600.0,"engine":"serial","experiment":{"device":"cpu",'
     '"exp_id":"golden","include_transfers":false,"models":["julia","numba"],'
@@ -90,18 +95,6 @@ GOLDEN_SPEC = (
     '"retry":{"backoff_base_s":0.25,"backoff_factor":2.0,"max_attempts":3,'
     '"max_cell_seconds":60.0},"spec_version":2,'
     '"submission_key":"golden-1","tenant":"ci"}')
-GOLDEN_SPEC_JSON_SHA256 = (
-    "20d77dce8084c68f7aa157f6e93785d5d617a81ebae0a13e329b640ade1a5eff")
-
-#: The ``run-open`` record's ``options`` payload of the golden run.
-GOLDEN_RUN_OPEN_OPTIONS = (
-    '{"breaker":{"cooldown_s":60.0,"threshold":2},"fail_fast":false,'
-    '"fallback":{"rungs":[["numba@cpu",["julia@cpu","reference"]]]},'
-    '"faults":{"always":["numba@256"],"kinds":["oom","timeout",'
-    '"jitter-spike"],"rate":0.25,"seed":7},"retry":{"backoff_base_s":0.25,'
-    '"backoff_factor":2.0,"max_attempts":3,"max_cell_seconds":60.0}}')
-GOLDEN_CAMPAIGN = (
-    "95b22a9ed4b9f05a12b55fffe6e00233dc50ec6e6469c4140d52b56b1e50338c")
 
 
 def test_spec_document_bytes_are_pinned():
@@ -124,3 +117,26 @@ def test_run_open_options_bytes_are_pinned(tmp_path):
     assert record["type"] == "run-open"
     assert canonical_json(record["data"]["options"]) == GOLDEN_RUN_OPEN_OPTIONS
     assert record["data"]["campaign"] == GOLDEN_CAMPAIGN
+
+
+def test_breaker_era_spec_is_refused():
+    with pytest.raises(ConfigError, match="breaker"):
+        spec_from_json(BREAKER_ERA_GOLDEN_SPEC)
+
+
+def test_export_with_a_substituted_cell_is_refused():
+    # A v4 export of a breaker run: one cell was served by another lane.
+    # Loading it as a plain result set would report that lane's samples
+    # under the model that failed, so the loader refuses it.
+    from repro.errors import ExperimentError
+    from repro.harness.export import result_set_from_dict, result_set_to_dict
+    rs = run_campaign(_golden_spec(), engine=SweepEngine(cache=None))
+    doc = result_set_to_dict(rs)
+    assert doc["schema"] == 4 and doc["substituted"] is False
+    assert result_set_from_dict(doc).measurements == rs.measurements
+    doc["substituted"] = True
+    doc["measurements"][0].update(status="substituted",
+                                  substituted_from="julia@gpu",
+                                  served_by="julia@cpu", ladder_hops=1)
+    with pytest.raises(ExperimentError, match="substituted_from"):
+        result_set_from_dict(doc)

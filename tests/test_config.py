@@ -123,8 +123,6 @@ SETTING_VALUES = {
     "REPRO_BACKOFF": ("0.25", "soon"),
     "REPRO_MAX_CELL_SECONDS": ("60", "-5"),
     "REPRO_FAIL_FAST": ("1", "maybe"),
-    "REPRO_BREAKER": ("threshold=3,cooldown=60", "threshold=x"),
-    "REPRO_FALLBACK": ("numba@gpu=numba@cpu+reference", "numba"),
     "REPRO_JOURNAL": ("off", "maybe"),
     "REPRO_WATCHDOG": ("timeout=30,respawns=2", "timeout=-1"),
     "REPRO_TENANT": ("ci", "a b"),
@@ -240,3 +238,15 @@ def test_zero_backoff_from_the_environment(monkeypatch, capsys):
         reset_default_engine()
         reset_default_run_options()
     assert "256" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["REPRO_BREAKER", "REPRO_FALLBACK"])
+def test_removed_breaker_variables_are_refused(name):
+    # A run that asked for the lane breaker would measure something a
+    # plain run does not, so the setting fails loudly instead of being
+    # ignored; an empty value still means unset.
+    from repro.config import resolve_run_settings
+    with pytest.raises(ConfigError, match="breaker"):
+        resolve_run_settings(environ={name: "3"})
+    assert resolve_run_settings(environ={name: ""}) \
+        == resolve_run_settings(environ={})

@@ -113,37 +113,6 @@ class TestFaultConfig:
         assert cfg.payload() == FaultConfig.parse("seed=7,rate=0.2").payload()
 
 
-class TestResilienceSpecGrammars:
-    """The --breaker/--fallback grammars mirror FaultConfig.parse: same
-    key=value idiom, same duplicate-key rejection, spec() round-trips."""
-
-    @pytest.mark.parametrize("spec", [
-        "3", "threshold=2", "threshold=2,cooldown=1e4",
-        "threshold=5,cooldown=0.5",
-    ])
-    def test_breaker_spec_round_trips(self, spec):
-        from repro.harness.health import BreakerPolicy
-        policy = BreakerPolicy.parse(spec)
-        assert BreakerPolicy.parse(policy.spec()) == policy
-
-    @pytest.mark.parametrize("spec", [
-        "numba@gpu=numba@cpu+reference",
-        "numba@gpu=reference,julia@gpu=julia@cpu",
-        "julia@cpu=reference",
-    ])
-    def test_fallback_spec_round_trips(self, spec):
-        from repro.harness.health import FallbackLadder
-        ladder = FallbackLadder.parse(spec)
-        assert FallbackLadder.parse(ladder.spec()) == ladder
-
-    def test_duplicate_keys_rejected_like_faults(self):
-        from repro.harness.health import BreakerPolicy, FallbackLadder
-        with pytest.raises(ConfigError, match="duplicate breaker spec key"):
-            BreakerPolicy.parse("threshold=2,threshold=3")
-        with pytest.raises(ConfigError, match="duplicate fallback spec key"):
-            FallbackLadder.parse("numba@gpu=reference,numba@gpu=numba@cpu")
-
-
 class TestFaultInjector:
     def test_probe_is_deterministic(self):
         inj = FaultInjector(FaultConfig(rate=0.5, seed=11))
@@ -211,7 +180,7 @@ class TestEngineResilience:
         assert bad.model == "julia" and bad.shape.m == 512
         assert bad.status == "failed" and not bad.supported
         assert rs.status_counts() == {"ok": 3, "unsupported": 0,
-                                      "failed": 1, "substituted": 0}
+                                      "failed": 1}
         # the other cells are untouched by the failure
         assert rs.cell("julia", 256).supported
         assert rs.supported("julia")  # some cells survive

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from repro.core.types import DeviceKind, Precision
-from repro.errors import JournalError, RunInterrupted
+from repro.errors import ConfigError, JournalError, RunInterrupted
 from repro.harness.engine import ResultCache, RunOptions, SweepEngine
 from repro.harness.experiment import Experiment
 from repro.harness.export import (
@@ -369,84 +369,63 @@ class TestJournaledSweep:
                               engine=serial_engine())
         assert result_set_to_json(replayed) == result_set_to_json(rs)
 
-    def breaker_opts(self, **kw):
-        from repro.harness.health import BreakerPolicy
-        from repro.sim.faults import FaultConfig
-        kw.setdefault("breaker", BreakerPolicy(threshold=2, cooldown_s=1e5))
-        kw.setdefault("faults",
-                      FaultConfig.parse("always=numba@256+numba@512"))
-        return RunOptions(**kw)
+    def test_breaker_era_journal_is_refused_on_resume(self, registry):
+        # A run of the removed lane breaker served failing cells from
+        # other lanes; resuming it as a plain run would splice two
+        # different measurements together, so it fails loudly.
+        run_id = write_breaker_era_journal(registry, small_exp())
+        state = registry.load(run_id)
+        with pytest.raises(ConfigError, match="breaker"):
+            restore_campaign(state)
+        with pytest.raises(ConfigError, match="breaker"):
+            resume_run(run_id, registry=registry, engine=serial_engine())
 
-    def gpu_exp(self):
-        return Experiment(
-            exp_id="jr-gpu", title="journal health test",
-            node_name="Wombat", device=DeviceKind.GPU,
-            precision=Precision.FP64, models=("cuda", "numba"),
-            sizes=(256, 512, 1024), reps=5)
 
-    def test_breaker_run_journals_health_metadata(self, registry):
-        exp = self.gpu_exp()
-        journal = registry.create()
-        from dataclasses import replace
-        rs = run_campaign(CampaignSpec(experiment=exp), engine=serial_engine(),
-                            options=replace(self.breaker_opts(),
-                                            journal=journal))
-        journal.close()
-        assert rs.substituted
-        state = registry.load(journal.run_id)
-        assert state.status == "complete" and state.done_cells == 6
-        # every journaled cell carries its health metadata...
-        assert len(state.outcomes) == 6
-        assert all("native" in meta and "serve_cost_s" in meta
-                   for meta in state.outcomes.values())
-        # ...and the lane-open transition was journaled
-        assert any(ev["to"] == "open" and ev["lane"] == "numba@gpu"
-                   for ev in state.breaker_events)
-        assert "breaker" in state.options and "fallback" not in state.options
+def write_breaker_era_journal(registry, exp, spec_payload=None):
+    """An interrupted journal as builds with the lane breaker wrote it.
 
-    def test_resume_byte_identical_under_breakers(self, registry):
-        exp = self.gpu_exp()
-        opts = self.breaker_opts()
-        baseline = result_set_to_json(
-            run_campaign(CampaignSpec(experiment=exp), engine=serial_engine(), options=opts))
-        mp = interrupt_on_call(4)
-        journal = registry.create()
-        from dataclasses import replace
-        try:
-            with pytest.raises(RunInterrupted):
-                run_campaign(CampaignSpec(experiment=exp), engine=serial_engine(),
-                               options=replace(opts, journal=journal))
-        finally:
-            mp.undo()
-        journal.close()
-        # resume restores breaker + ladder from the journal, replays the
-        # completed cells' health metadata through the state machines,
-        # and re-executes the rest — byte-identically
-        resumed = resume_run(journal.run_id, registry=registry,
-                             engine=serial_engine())
-        assert result_set_to_json(resumed) == baseline
-        state = registry.load(journal.run_id)
-        assert state.status == "complete" and state.resumes == 1
-        assert any(ev["to"] == "open" for ev in state.breaker_events)
+    Its ``run-open`` options carry a ``breaker`` policy, its one done
+    cell a ``health`` block and a fallback-served measurement, and a
+    ``breaker`` record follows.  With ``spec_payload`` it is a service
+    campaign: a ``campaign`` record embeds that spec, state ``queued``.
+    Returns the run id.
+    """
+    from repro.harness.engine import cell_fingerprint
+    from repro.harness.export import measurement_to_dict
+    from repro.harness.results import Measurement
+    from repro.sim.faults import FaultConfig
 
-    def test_resume_with_explicit_ladder_round_trips(self, registry):
-        from repro.harness.health import FallbackLadder
-        from dataclasses import replace
-        exp = self.gpu_exp()
-        opts = self.breaker_opts(
-            fallback=FallbackLadder.parse("numba@gpu=reference"))
-        journal = registry.create()
-        rs = run_campaign(CampaignSpec(experiment=exp), engine=serial_engine(),
-                            options=replace(opts, journal=journal))
-        journal.close()
-        state = registry.load(journal.run_id)
-        assert "fallback" in state.options
-        _, ropts = restore_campaign(state)
-        assert ropts.fallback == opts.fallback
-        assert ropts.breaker == opts.breaker
-        replayed = resume_run(journal.run_id, registry=registry,
-                              engine=serial_engine())
-        assert result_set_to_json(replayed) == result_set_to_json(rs)
+    faults = FaultConfig.parse("always=numba@256")
+    options = RunOptions(faults=faults).payload()
+    options["breaker"] = {"threshold": 1, "cooldown_s": 100000.0}
+    cells = [{"index": i, "model": model, "shape": str(shape),
+              "fingerprint": cell_fingerprint(exp, model, shape, faults)}
+             for i, (model, shape) in enumerate(
+                 (m, sh) for m in exp.models for sh in exp.shapes())]
+    journal = registry.create()
+    journal.open_run(manifest=exp.to_dict(), campaign="0" * 64,
+                     options=options, cells=cells)
+    if spec_payload is not None:
+        journal.campaign_state("queued", tenant="ci", spec=spec_payload)
+    served = [c for c in cells if c["model"] == "numba"][0]
+    m = Measurement(model="numba", display="Numba",
+                    shape=exp.shapes()[0], precision=exp.precision,
+                    times_s=(1e-3, 1e-3, 1e-3, 1e-3, 1e-3))
+    payload = dict(measurement_to_dict(m), status="substituted",
+                   substituted_from="numba@cpu", served_by="julia@cpu",
+                   ladder_hops=1)
+    journal.cell_start(served["index"], "numba", served["shape"],
+                       served["fingerprint"])
+    journal.append("breaker", lane="numba@cpu", to="open",
+                   cell_index=served["index"])
+    journal.append("cell-done", index=served["index"],
+                   fingerprint=served["fingerprint"], cached=False,
+                   wall_s=0.0, attempts=1, faults=1, measurement=payload,
+                   health={"native": "failed", "native_cost_s": 5.0,
+                           "serve_cost_s": 0.1})
+    journal.close_run("interrupted", completed=1, total=len(cells))
+    journal.close()
+    return journal.run_id
 
 
 def process_engine(cache=None):

@@ -22,7 +22,6 @@ from repro.errors import (
 from repro.harness.engine import ResultCache, SweepEngine, cell_fingerprint
 from repro.harness.experiment import Experiment
 from repro.harness.export import result_set_from_json, result_set_to_json
-from repro.harness.health import BreakerPolicy, FallbackLadder
 from repro.harness.engine.options import RetryPolicy
 from repro.harness.journal import RunRegistry, fsck_store
 from repro.harness.report import render_result_set
@@ -97,8 +96,6 @@ class TestCampaignSpec:
             retry=RetryPolicy(max_attempts=3, backoff_base_s=2.0,
                               max_cell_seconds=60.0),
             fail_fast=True,
-            breaker=BreakerPolicy.parse("threshold=2,cooldown=30"),
-            fallback=FallbackLadder.parse("numba@cpu=julia@cpu"),
             tenant="ci", priority=5,
         )
         assert spec_from_json(spec_to_json(spec)) == spec
@@ -621,6 +618,39 @@ class TestServiceRecovery:
         assert CampaignService(registry=registry, cache=cache).recover() \
             == []
 
+    def test_recover_skips_breaker_era_journals(self, store, capsys):
+        # Campaigns of the removed lane breaker, named by the spec or
+        # only by the run options, are refused, left untouched on disk
+        # and not quarantined; a plain campaign beside them recovers.
+        from .test_journal import write_breaker_era_journal
+        registry, cache = store
+        spec_payload = spec_to_dict(small_spec(tenant="ci", exp_id="re-br"))
+        by_spec = write_breaker_era_journal(
+            registry, small_exp(exp_id="re-br"),
+            dict(spec_payload, breaker={"threshold": 1,
+                                        "cooldown_s": 100000.0}))
+        by_options = write_breaker_era_journal(
+            registry, small_exp(exp_id="re-br"), spec_payload)
+        svc1 = CampaignService(registry=registry, cache=cache)
+        spec_b = small_spec(tenant="bob", exp_id="re-plain")
+        current = svc1.submit(spec_b)
+        assert svc1.step()
+        svc1.suspend()
+        before = {cid: open(registry.path_for(cid), "rb").read()
+                  for cid in (by_spec, by_options)}
+
+        svc2 = CampaignService(registry=registry, cache=cache)
+        assert svc2.recover() == [current]
+        err = capsys.readouterr().err
+        for cid in (by_spec, by_options):
+            assert f"not recovering campaign {cid}" in err
+            assert cid not in svc2.campaigns
+            assert open(registry.path_for(cid), "rb").read() == before[cid]
+        assert svc2.health_state() == "ready"
+        svc2.run_until_idle()
+        assert render_result_set(svc2.result_set(current)) \
+            == solo_render(spec_b)
+
     def test_retired_campaigns_release_their_execution_and_old_results(
             self, store, monkeypatch):
         # Only the most recently retired campaigns keep their results in
@@ -1001,6 +1031,24 @@ class TestDaemonWire:
         daemon.request_shutdown()
         thread.join(timeout=30)
         assert not thread.is_alive()
+
+    def test_stop_is_prompt(self, store, tmp_path):
+        # A stop must not wait out a long listener poll.
+        registry, cache = store
+        daemon = CampaignDaemon(
+            service=CampaignService(registry=registry, cache=cache),
+            socket_path=str(tmp_path / "stop.sock"))
+        thread = threading.Thread(
+            target=daemon.serve, kwargs={"install_signals": False},
+            daemon=True)
+        thread.start()
+        assert ServiceClient(daemon.socket_path).ping()["ok"] is True
+        time.sleep(0.2)  # idle: the listener sits in its poll
+        t0 = time.perf_counter()
+        daemon.request_shutdown()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert time.perf_counter() - t0 < 0.1
 
     def test_wire_round_trip(self, daemon):
         client = ServiceClient(daemon.socket_path)
