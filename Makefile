@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint audit bench bench-audit bench-paper bench-service chaos-smoke engine-smoke service-smoke report report-cached faults resume fsck verify examples clean
+.PHONY: install test lint audit bench bench-audit bench-paper bench-service chaos-smoke engine-smoke service-smoke perf-smoke report report-cached faults resume fsck verify examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -111,6 +111,13 @@ service-smoke:
 	trap - EXIT
 	@echo "two tenants, overlapping cells executed once, reports" \
 	  "byte-identical to solo runs"
+
+# Traced benchmark smoke test: a short `--trace 1` run of each gated
+# perfbench workload must produce correct output and pass its
+# self-checks (run.py exits 1 otherwise).
+perf-smoke:
+	$(PYTHON) perfbench/run.py --workload cpu-cold --seed 1 --seconds 4 --trace 1
+	$(PYTHON) perfbench/run.py --workload service-mixed --seed 1 --seconds 4 --trace 1
 
 # Crash-fault drills: SIGKILL a pool worker mid-cell, SIGKILL the
 # campaign daemon mid-grant, tear a journal tail, exhaust the store —

@@ -936,6 +936,9 @@ def _cmd_status(args: argparse.Namespace) -> str:
             ["campaign", "tenant", "prio", "state", "cells", "beat",
              "stats"],
             rows))
+    omitted = sum((payload.get("counts") or {}).values()) - len(campaigns)
+    if omitted > 0:
+        lines.append(f"({omitted} older retired campaign(s) not listed)")
     dedup = payload.get("dedup") or {}
     lines.append("")
     lines.append(f"dedup: {dedup.get('hits', 0)} hit(s) across "

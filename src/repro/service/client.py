@@ -10,6 +10,18 @@ can distinguish "retry later" from "fix your request"
 :class:`~repro.errors.OverloadError` carrying the daemon's
 ``Retry-After`` hint.
 
+A client keeps its connection to the daemon open and reuses it for the
+next request (HTTP/1.1 keep-alive), holding at most one idle connection.
+A request made while another thread uses that connection — a parked
+long-poll, say — opens its own, so a shared client never serializes its
+callers.  A kept connection is dropped instead of reused when it has
+been idle for half the daemon's :data:`~repro.service.daemon.IDLE_TIMEOUT_S`
+or more, or when a zero-timeout poll finds it readable (the daemon
+closed it or restarted).  A reused connection that fails before any
+response byte arrives is resent once on a fresh connection, for GETs
+and keyed submits only; an unkeyed POST raises
+:class:`~repro.errors.ServiceError`, as when the daemon dies mid-request.
+
 Retries are governed by a frozen :class:`ClientPolicy` and are
 deliberately narrow: only :class:`~repro.errors.OverloadError` (the
 daemon said "come back later" with 429/503) and connection refusal (no
@@ -24,10 +36,12 @@ from __future__ import annotations
 
 import http.client
 import json
+import select
 import socket
+import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import (
     AdmissionError,
@@ -36,7 +50,7 @@ from ..errors import (
     OverloadError,
     ServiceError,
 )
-from .daemon import default_socket_path
+from .daemon import IDLE_TIMEOUT_S, default_socket_path
 from .spec import CampaignSpec, spec_to_dict
 
 __all__ = ["ClientPolicy", "ServiceClient"]
@@ -56,6 +70,10 @@ _TERMINAL_STATES = ("done", "failed", "expired", "quarantined")
 #: also held under half the request timeout, so the socket never times
 #: out on a parked request.
 _LONG_POLL_S = 10.0
+
+#: A kept connection idle this long (s) is dropped, not reused: the
+#: daemon closes it at :data:`IDLE_TIMEOUT_S`, and this leaves a margin.
+_REUSE_IDLE_S = IDLE_TIMEOUT_S / 2
 
 
 @dataclass(frozen=True)
@@ -100,6 +118,8 @@ class _UnixHTTPConnection(http.client.HTTPConnection):
         self._path = path
         self._connect_timeout = (connect_timeout if connect_timeout
                                  is not None else timeout)
+        #: When the connection last finished a response (monotonic s).
+        self.idle_since = 0.0
 
     def connect(self) -> None:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -117,6 +137,14 @@ class _UnixHTTPConnection(http.client.HTTPConnection):
             raise error from exc
         sock.settimeout(self.timeout)
         self.sock = sock
+
+
+def _readable(sock: socket.socket) -> bool:
+    """Whether ``sock`` polls readable now: on an idle keep-alive
+    connection that means the daemon closed it (or sent stray bytes)."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 def _is_retryable(exc: ServiceError) -> bool:
@@ -143,57 +171,110 @@ class ServiceClient:
         #: Retry accounting across this client's lifetime (read by the
         #: chaos drills and benchmarks).
         self.retries_used = 0
+        #: The idle kept-alive connection, if any; a request takes it out
+        #: while it runs, so no two threads share one.
+        self._kept: Optional[_UnixHTTPConnection] = None
+        self._kept_lock = threading.Lock()
 
     # -- plumbing ---------------------------------------------------------
 
+    def _take_connection(self) -> Tuple[_UnixHTTPConnection, bool]:
+        """The kept connection if it is still good, else a new one
+        (connected lazily by the request); and whether it is reused."""
+        with self._kept_lock:
+            conn, self._kept = self._kept, None
+        if conn is not None:
+            if (time.monotonic() - conn.idle_since < _REUSE_IDLE_S
+                    and not _readable(conn.sock)):
+                return conn, True
+            conn.close()
+        return _UnixHTTPConnection(
+            self.socket_path, timeout=self.policy.request_timeout_s,
+            connect_timeout=self.policy.connect_timeout_s), False
+
+    def _keep_connection(self, conn: _UnixHTTPConnection) -> None:
+        """Keep ``conn`` for the next request, unless the daemon closed
+        it (``Connection: close``) or another one is already kept."""
+        if conn.sock is not None:
+            conn.idle_since = time.monotonic()
+            with self._kept_lock:
+                if self._kept is None:
+                    self._kept = conn
+                    return
+        conn.close()
+
+    def _drop_kept_connection(self) -> None:
+        with self._kept_lock:
+            conn, self._kept = self._kept, None
+        if conn is not None:
+            conn.close()
+
     def _request_once(self, method: str, path: str,
                       body: Optional[Dict[str, Any]] = None) -> Any:
-        conn = _UnixHTTPConnection(
-            self.socket_path, timeout=self.policy.request_timeout_s,
-            connect_timeout=self.policy.connect_timeout_s)
+        conn, reused = self._take_connection()
+        payload = (json.dumps(body, sort_keys=True).encode()
+                   if body is not None else None)
+        headers = ({"Content-Type": "application/json"}
+                   if payload is not None else {})
         try:
-            payload = (json.dumps(body, sort_keys=True).encode()
-                       if body is not None else None)
-            headers = ({"Content-Type": "application/json"}
-                       if payload is not None else {})
             try:
                 conn.request(method, path, body=payload, headers=headers)
+            except ConnectionError:
+                # A refusal (429/503) is answered, and the connection
+                # closed, before the request body is read: a failed send
+                # may still have an answer waiting.
+                pass
+            try:
                 response = conn.getresponse()
-                raw = response.read()
-            except ServiceError:
-                raise
-            except OSError as exc:
-                raise ServiceError(
-                    f"campaign daemon on {self.socket_path} did not "
-                    f"answer: {exc}") from exc
-            content_type = response.headers.get("Content-Type", "")
-            if "json" in content_type:
-                try:
-                    data = json.loads(raw.decode() or "null")
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                    raise ServiceError(
-                        f"daemon answered non-JSON to {method} {path}") \
-                        from exc
-            else:
-                data = raw.decode()
-            if response.status >= 400:
-                retry_after = response.headers.get("Retry-After")
-                if isinstance(data, dict):
-                    kind = _ERROR_KINDS.get(str(data.get("kind")),
-                                            ServiceError)
-                    message = str(data.get("error",
-                                           f"HTTP {response.status}"))
-                    if kind is OverloadError:
-                        hint = data.get("retry_after_s", retry_after)
-                        raise OverloadError(
-                            message,
-                            retry_after_s=float(hint) if hint else 1.0)
-                    raise kind(message)
-                raise ServiceError(f"{method} {path} failed: "
-                                   f"HTTP {response.status}")
-            return data
-        finally:
+            except ConnectionError as exc:
+                if not reused:
+                    raise
+                # The daemon closed the reused connection before
+                # answering (it stopped, or restarted on this socket).
+                # The kept one is likely stale too: drop it, so a resend
+                # connects fresh.  _request decides whether to resend.
+                self._drop_kept_connection()
+                error = ServiceError(
+                    f"campaign daemon on {self.socket_path} closed the "
+                    f"connection before answering: {exc}")
+                error.stale = True  # type: ignore[attr-defined]
+                raise error from exc
+            raw = response.read()
+        except ServiceError:
             conn.close()
+            raise
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise ServiceError(
+                f"campaign daemon on {self.socket_path} did not "
+                f"answer: {exc}") from exc
+        self._keep_connection(conn)
+        content_type = response.headers.get("Content-Type", "")
+        if "json" in content_type:
+            try:
+                data = json.loads(raw.decode() or "null")
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ServiceError(
+                    f"daemon answered non-JSON to {method} {path}") \
+                    from exc
+        else:
+            data = raw.decode()
+        if response.status >= 400:
+            retry_after = response.headers.get("Retry-After")
+            if isinstance(data, dict):
+                kind = _ERROR_KINDS.get(str(data.get("kind")),
+                                        ServiceError)
+                message = str(data.get("error",
+                                       f"HTTP {response.status}"))
+                if kind is OverloadError:
+                    hint = data.get("retry_after_s", retry_after)
+                    raise OverloadError(
+                        message,
+                        retry_after_s=float(hint) if hint else 1.0)
+                raise kind(message)
+            raise ServiceError(f"{method} {path} failed: "
+                               f"HTTP {response.status}")
+        return data
 
     def _request(self, method: str, path: str,
                  body: Optional[Dict[str, Any]] = None,
@@ -202,16 +283,23 @@ class ServiceClient:
 
         ``retryable=None`` (the default) retries GETs and refuses to
         retry anything else — POSTs pass an explicit verdict, because a
-        retried submit is only safe under an idempotency key.
+        retried submit is only safe under an idempotency key.  The same
+        verdict governs the one resend of a request whose reused
+        connection the daemon closed before answering; that resend is
+        not a policy retry.
         """
         if retryable is None:
             retryable = method == "GET"
         attempts = self.policy.retries if retryable else 0
         attempt = 0
+        resent = False
         while True:
             try:
                 return self._request_once(method, path, body)
             except ServiceError as exc:
+                if retryable and not resent and getattr(exc, "stale", False):
+                    resent = True
+                    continue
                 if attempt >= attempts or not _is_retryable(exc):
                     raise
                 delay = self.policy.backoff_s(attempt)

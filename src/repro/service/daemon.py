@@ -17,7 +17,8 @@ POST   ``/v1/campaigns``              body = CampaignSpec JSON; 202 ``{"id"}``,
                                       spec, 429 + ``Retry-After`` when shedding
                                       under load, 503 + ``Retry-After`` while
                                       draining
-GET    ``/v1/campaigns``              every campaign's status row
+GET    ``/v1/campaigns``              the status rows of the live campaigns
+                                      and of the last retired ones
 GET    ``/v1/campaigns/<id>``         one campaign's status row;
                                       ``?wait=S`` long-polls: answers when
                                       the campaign is terminal or after S
@@ -26,17 +27,29 @@ GET    ``/v1/campaigns/<id>``         one campaign's status row;
                                       draining first
 GET    ``/v1/campaigns/<id>/report``  finished campaign's report;
                                       ``?format=text|json`` (default text)
-GET    ``/v1/status``                 scheduler/tenant/dedup/cache snapshot
+GET    ``/v1/status``                 scheduler/tenant/dedup/cache/wire
+                                      snapshot
 GET    ``/v1/ping``                   liveness/readiness probe: ``{"ok":
                                       true, "pid": N, "state": "ready" |
                                       "degraded" | "draining", "uptime_s"}``
 POST   ``/v1/shutdown``               graceful stop (journals stay resumable)
 ====== ============================== ===========================================
 
-Overload behaviour: handler-thread concurrency is bounded (ThreadingMixIn
-would otherwise spawn one thread per connection without limit), and
-submissions shed with 429 + ``Retry-After`` *before* the admission wall
-via :meth:`CampaignService.check_overload` — see
+Connections: a client keeps its connection open (HTTP/1.1 keep-alive)
+and the daemon serves each connection on one handler thread, request
+after request, so a client costs one connect and one thread start, not
+one per request.  A connection idle for :data:`IDLE_TIMEOUT_S` between
+requests is closed and its thread ends; clients reuse a connection only
+while it has been idle for less than half of that.  429 and 503 answers
+close their connection, and stopping the daemon closes every idle one.
+The status document's ``wire`` block counts accepted connections and
+served requests.
+
+Overload behaviour: connections are bounded by
+:data:`MAX_HANDLER_THREADS` (one thread each; ThreadingMixIn would
+otherwise spawn threads without limit), and submissions shed with 429 +
+``Retry-After`` *before* the admission wall via
+:meth:`CampaignService.check_overload` — see
 :class:`~repro.service.scheduler.OverloadPolicy`.  At most
 :data:`MAX_PARKED_WAITS` long-polls park a handler thread at once, so
 submissions always find a free one; a long-poll over that cap is
@@ -58,7 +71,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from socketserver import ThreadingMixIn
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Set
 from urllib.parse import parse_qs, urlparse
 
 from ..errors import AdmissionError, ConfigError, OverloadError, ServiceError
@@ -68,8 +81,8 @@ from .campaign import TERMINAL_STATES, Campaign
 from .service import CampaignService
 from .spec import spec_from_dict
 
-__all__ = ["default_socket_path", "CampaignDaemon", "MAX_HANDLER_THREADS",
-           "MAX_PARKED_WAITS"]
+__all__ = ["default_socket_path", "CampaignDaemon", "IDLE_TIMEOUT_S",
+           "MAX_HANDLER_THREADS", "MAX_PARKED_WAITS"]
 
 #: How long the scheduler thread dozes (s) when the queue is empty.
 _IDLE_POLL_S = 0.05
@@ -78,11 +91,16 @@ _IDLE_POLL_S = 0.05
 #: waits at most this long for it (``serve_forever``'s default is 0.5).
 _LISTENER_POLL_S = 0.02
 
-#: Concurrent wire-handler threads the daemon will run; connections
-#: beyond this are answered with a raw 429 and closed instead of
-#: spawning an unbounded thread per connection (ThreadingMixIn's
-#: default behaviour under a submission storm).
+#: Open connections the daemon will serve, one handler thread each;
+#: connections beyond this are answered with a raw 429 and closed
+#: instead of spawning an unbounded thread per connection
+#: (ThreadingMixIn's default behaviour under a submission storm).
 MAX_HANDLER_THREADS = 32
+
+#: Seconds a connection may sit idle between requests before the daemon
+#: closes it, freeing its handler thread; clients stop reusing one after
+#: half of this.
+IDLE_TIMEOUT_S = 5.0
 
 #: Long-polls (``GET /v1/campaigns/<id>?wait=S``) that may park a
 #: handler thread at once — well below :data:`MAX_HANDLER_THREADS`, so
@@ -131,9 +149,10 @@ def default_socket_path() -> str:
 class _UnixHTTPServer(ThreadingMixIn, HTTPServer):
     """HTTPServer bound to a Unix-domain socket path.
 
-    Handler concurrency is bounded by :data:`MAX_HANDLER_THREADS`: a
-    connection arriving with every slot taken is shed with a canned 429
-    + ``Retry-After`` instead of spawning yet another thread — under a
+    Each connection is served on one handler thread for as long as it
+    stays open.  Connections are bounded by :data:`MAX_HANDLER_THREADS`:
+    one arriving with every slot taken is shed with a canned 429 +
+    ``Retry-After`` instead of spawning yet another thread — under a
     submission storm an unbounded ThreadingMixIn would otherwise grow
     one thread per connection until the process keels over.
     """
@@ -149,6 +168,12 @@ class _UnixHTTPServer(ThreadingMixIn, HTTPServer):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         self._handler_slots = threading.Semaphore(MAX_HANDLER_THREADS)
+        #: Connections being served, so :meth:`close_connections` can
+        #: end them; guarded, with the request count, by ``_wire_lock``.
+        self._open: Set[socket.socket] = set()
+        self._wire_lock = threading.Lock()
+        self.connections = 0  # accepted (written by the listener only)
+        self.requests = 0
         super().__init__(*args, **kwargs)
 
     def server_bind(self) -> None:
@@ -162,6 +187,7 @@ class _UnixHTTPServer(ThreadingMixIn, HTTPServer):
         self.server_port = 0
 
     def process_request(self, request, client_address) -> None:
+        self.connections += 1
         if not self._handler_slots.acquire(blocking=False):
             try:
                 request.sendall(_THREAD_SHED_RESPONSE)
@@ -169,25 +195,57 @@ class _UnixHTTPServer(ThreadingMixIn, HTTPServer):
                 pass
             self.shutdown_request(request)
             return
+        with self._wire_lock:
+            self._open.add(request)
         try:
             super().process_request(request, client_address)
         except BaseException:
-            self._handler_slots.release()
+            self._release(request)
             raise
 
     def process_request_thread(self, request, client_address) -> None:
         try:
             super().process_request_thread(request, client_address)
         finally:
-            self._handler_slots.release()
+            self._release(request)
+
+    def _release(self, request) -> None:
+        with self._wire_lock:
+            self._open.discard(request)
+        self._handler_slots.release()
+
+    def count_request(self) -> None:
+        with self._wire_lock:
+            self.requests += 1
+
+    def wire_payload(self) -> Dict[str, int]:
+        """The status document's ``wire`` block."""
+        with self._wire_lock:
+            return {"connections": self.connections,
+                    "open": len(self._open), "requests": self.requests}
+
+    def close_connections(self) -> None:
+        """End every open connection: shut its read side, so an idle
+        handler reads end-of-file and closes it, and a busy one closes
+        it after the response it is writing."""
+        with self._wire_lock:
+            connections = list(self._open)
+        for request in connections:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # already closed by its handler
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """One wire request; routing is a flat match on (method, path)."""
+    """One wire connection, request after request; routing is a flat
+    match on (method, path)."""
 
     #: Injected by CampaignDaemon before the server starts.
     daemon_ref: "CampaignDaemon"
     protocol_version = "HTTP/1.1"
+    #: Socket timeout: an idle connection closes after this long.
+    timeout = IDLE_TIMEOUT_S
 
     # -- plumbing ---------------------------------------------------------
 
@@ -251,6 +309,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routes -----------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self.server.count_request()
         daemon = self.daemon_ref
         service = daemon.service
         url = urlparse(self.path)
@@ -259,10 +318,10 @@ class _Handler(BaseHTTPRequestHandler):
             if parts == ["v1", "ping"]:
                 self._send_json(200, daemon.ping_payload())
             elif parts == ["v1", "status"]:
-                self._send_json(200, service.status_payload())
+                self._send_json(200, dict(service.status_payload(),
+                                          wire=self.server.wire_payload()))
             elif parts == ["v1", "campaigns"]:
-                payload = service.status_payload()
-                self._send_json(200, {"campaigns": payload["campaigns"]})
+                self._send_json(200, {"campaigns": service.campaign_rows()})
             elif len(parts) == 3 and parts[:2] == ["v1", "campaigns"]:
                 wait_s = _wait_seconds(url.query)
                 campaign = (daemon.wait_retired(parts[2], wait_s) if wait_s
@@ -295,6 +354,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(500, exc)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self.server.count_request()
         daemon = self.daemon_ref
         service = daemon.service
         parts = [p for p in urlparse(self.path).path.split("/") if p]
@@ -473,8 +533,10 @@ class CampaignDaemon:
         return recovered
 
     def close(self) -> None:
-        """Stop the listener, suspend the service, remove the socket."""
+        """Stop the listener, close every connection, suspend the
+        service, remove the socket."""
         self.server.shutdown()
+        self.server.close_connections()
         self.server.server_close()
         self.service.suspend()
         try:

@@ -39,7 +39,7 @@ import os
 import sys
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 from typing import Any, Callable, Deque, Dict, List, Optional
 
@@ -61,7 +61,8 @@ __all__ = ["CampaignService", "MAX_CAMPAIGN_RESTARTS",
 #: Heartbeat the ACTIVE sidecar of the stepping campaign every N cells.
 _HEARTBEAT_EVERY = 16
 
-#: Retired campaigns whose results stay in memory for their report.
+#: Retired campaigns whose results stay in memory for their report, and
+#: whose rows the status document lists.
 _RESULTS_KEPT = 64
 
 #: Crash-supervision restarts one campaign may consume before the
@@ -89,6 +90,8 @@ class CampaignService:
         self._executions: Dict[str, CampaignExecution] = {}
         #: Retired campaigns whose results are still held, oldest first.
         self._recent: Deque[str] = deque()
+        #: The last _RESULTS_KEPT retired campaigns, oldest first.
+        self._retired_tail: Deque[str] = deque(maxlen=_RESULTS_KEPT)
         #: Cell fingerprint -> campaign id that executed (and cached) it.
         self._origins: Dict[str, str] = {}
         #: submission_key -> campaign id, the idempotency map.  Durable:
@@ -314,6 +317,7 @@ class CampaignService:
                 if options is None:
                     campaign.cells_done = state.done_cells
                     self._quarantine(run_id, mismatch, journal)
+                    self._retired_tail.append(run_id)
                     continue
                 self.scheduler.submit(run_id, spec.tenant, spec.priority,
                                       preadmitted=True)
@@ -396,6 +400,7 @@ class CampaignService:
         # degraded by a write failure stopped short of its run-close, so
         # it cannot rebuild the report: those results stay in memory.
         execution = self._executions.pop(campaign_id)
+        self._retired_tail.append(campaign_id)
         if execution.journal.degraded:
             return
         self._recent.append(campaign_id)
@@ -527,8 +532,8 @@ class CampaignService:
         """The in-memory campaign, or :class:`ServiceError`."""
         campaign = self.campaigns.get(campaign_id)
         if campaign is None:
-            raise ServiceError(f"no campaign {campaign_id!r} "
-                               f"(known: {', '.join(sorted(self.campaigns)) or 'none'})")
+            raise ServiceError(f"no campaign {campaign_id!r} (this daemon "
+                               f"knows {len(self.campaigns)} campaign(s))")
         return campaign
 
     def result_set(self, campaign_id: str) -> ResultSet:
@@ -570,34 +575,48 @@ class CampaignService:
         with self._lock:
             if self.cache is not None and self.cache.read_only:
                 return "degraded"
-            if any(c.state == "quarantined"
-                   for c in self.campaigns.values()):
+            if self.quarantined_total:  # a quarantine is final
                 return "degraded"
             return "ready"
+
+    def campaign_rows(self) -> List[Dict[str, Any]]:
+        """Status rows of the live campaigns and of the last
+        ``_RESULTS_KEPT`` retired ones, in id order.
+
+        Each live row carries its ACTIVE heartbeat age and a ``stale``
+        flag (:data:`STALE_HEARTBEAT_SECONDS`), so a wedged owner shows
+        up as STALE instead of silently "running".
+        """
+        with self._lock:
+            live = set(self._executions)
+            rows = []
+            for cid in sorted(live.union(self._retired_tail)):
+                row = self.campaigns[cid].status_payload()
+                age = (self.registry.heartbeat_age(cid) if cid in live
+                       else None)
+                if age is not None:
+                    row["heartbeat_age_s"] = round(age, 3)
+                    row["stale"] = age > STALE_HEARTBEAT_SECONDS
+                rows.append(row)
+            return rows
 
     def status_payload(self) -> Dict[str, Any]:
         """The ``repro status`` document (stable key order when dumped).
 
-        Each in-flight campaign row carries its ACTIVE heartbeat age and
-        a ``stale`` flag (:data:`STALE_HEARTBEAT_SECONDS`), so a wedged
-        owner shows up as STALE instead of silently "running".
+        It lists :meth:`campaign_rows`, so its size stays bounded
+        however many campaigns the daemon has run; ``counts`` holds
+        every campaign of this daemon life by state.
         """
         with self._lock:
-            campaigns = []
-            for cid in sorted(self.campaigns):
-                row = self.campaigns[cid].status_payload()
-                age = self.registry.heartbeat_age(cid)
-                if age is not None:
-                    row["heartbeat_age_s"] = round(age, 3)
-                    row["stale"] = age > STALE_HEARTBEAT_SECONDS
-                campaigns.append(row)
+            counts = Counter(c.state for c in self.campaigns.values())
             payload: Dict[str, Any] = {
                 "pid": os.getpid(),
                 "state": self.health_state(),
                 "uptime_s": round(time.time() - self.started_at, 3),
                 "backlog": self.scheduler.backlog,
                 "tenants": self.scheduler.snapshot(),
-                "campaigns": campaigns,
+                "campaigns": self.campaign_rows(),
+                "counts": dict(sorted(counts.items())),
                 "dedup": {
                     "executed_cells": len(self._origins),
                     "hits": self.dedup_hits,

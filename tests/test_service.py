@@ -2,6 +2,7 @@
 
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -905,6 +906,36 @@ class TestActiveState:
         journal.close()
 
 
+class TestStatusDocument:
+    def test_lists_live_and_recently_retired_campaigns_counts_all(
+            self, store, monkeypatch):
+        import repro.service.service as service_mod
+        monkeypatch.setattr(service_mod, "_RESULTS_KEPT", 2)
+        registry, cache = store
+        svc = CampaignService(registry=registry, cache=cache)
+        done = []
+        for i in range(4):
+            done.append(svc.submit(small_spec(exp_id=f"tail-{i}")))
+            svc.run_until_idle()
+        live = svc.submit(small_spec(exp_id="tail-live"))
+        status = svc.status_payload()
+        assert [row["id"] for row in status["campaigns"]] \
+            == sorted(done[-2:] + [live])
+        assert status["counts"] == {"done": 4, "queued": 1}
+        assert svc.campaign_rows() == status["campaigns"]
+
+    def test_unknown_campaign_error_names_a_count_not_every_id(self,
+                                                               store):
+        registry, cache = store
+        svc = CampaignService(registry=registry, cache=cache)
+        ids = [svc.submit(small_spec(exp_id=f"unknown-{i}"))
+               for i in range(3)]
+        with pytest.raises(ServiceError, match="knows 3 campaign") \
+                as excinfo:
+            svc.campaign("no-such-campaign")
+        assert not any(cid in str(excinfo.value) for cid in ids)
+
+
 class TestGrantLockScope:
     """A grant's cell and journal I/O run outside the service lock."""
 
@@ -1275,6 +1306,149 @@ class TestDaemonWire:
                        for k, gap in enumerate(gaps))
 
 
+    # -- keep-alive: one connection per client ---------------------------
+
+    def test_one_client_keeps_one_connection(self, daemon):
+        client = ServiceClient(daemon.socket_path)
+        for i in range(3):
+            cid = client.submit(small_spec(exp_id=f"ka-{i}"))
+            assert client.wait(cid, timeout=60)["state"] == "done"
+            client.report(cid)
+        wire = client.status()["wire"]
+        assert wire["connections"] == 1
+        assert wire["requests"] == 3 * 3 + 1  # and this status request
+
+    def test_a_connection_the_daemon_closed_idle_is_replaced(
+            self, daemon, monkeypatch):
+        from repro.service.daemon import _Handler
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        server = daemon.server
+        client = ServiceClient(daemon.socket_path)
+
+        def idle_closed():
+            return _wait_until(lambda: server.wire_payload()["open"] == 0,
+                               timeout=10, interval=0.02)
+
+        assert client.ping()["ok"] is True
+        assert idle_closed()
+        assert client.ping()["ok"] is True  # a GET
+        assert idle_closed()
+        # An unkeyed POST is never resent, so it must not go out on the
+        # closed connection at all.
+        cid = client.submit(small_spec(exp_id="ka-idle"))
+        assert client.wait(cid, timeout=60)["state"] == "done"
+        assert server.wire_payload()["connections"] == 3
+
+    def test_a_daemon_restarted_on_the_socket_answers_the_next_get(
+            self, store, tmp_path):
+        registry, cache = store
+        sock = str(tmp_path / "restart.sock")
+        client = ServiceClient(sock)
+        for _ in range(2):
+            for daemon in _listener_only(CampaignDaemon(
+                    service=CampaignService(registry=registry, cache=cache),
+                    socket_path=sock)):
+                assert client.ping()["ok"] is True
+                assert daemon.server.wire_payload()["connections"] == 1
+
+    def test_idle_keep_alives_free_their_handler_slots(self, listener,
+                                                       monkeypatch):
+        from repro.service.daemon import MAX_HANDLER_THREADS, _Handler
+        monkeypatch.setattr(_Handler, "timeout", 1.0)
+        clients = [_short_client(listener)
+                   for _ in range(MAX_HANDLER_THREADS)]
+        for client in clients:
+            assert client.ping()["ok"] is True  # and keeps its connection
+        with pytest.raises(OverloadError, match="threads exhausted"):
+            _short_client(listener).ping()
+        assert _wait_until(
+            lambda: listener.server.wire_payload()["open"] == 0,
+            timeout=10, interval=0.02)
+        assert _short_client(listener).ping()["ok"] is True
+
+    def test_a_parked_long_poll_does_not_block_the_clients_ping(
+            self, listener):
+        client = _short_client(listener, 10)
+        cid = client.submit(small_spec(exp_id="ka-shared"))
+        waiter = _Call(client.campaign, cid, wait=10)
+        assert _wait_until(lambda: listener.parked == 1, timeout=5,
+                           interval=0.005)
+        assert client.ping()["ok"] is True
+        assert listener.parked == 1  # answered while the poll parked
+        listener.service.run_until_idle()
+        assert waiter.result(5)["state"] == "done"
+
+    def test_a_lost_answer_is_resent_only_when_idempotent(self, tmp_path):
+        fake = _LosesSecondAnswer(str(tmp_path / "fake.sock"))
+        try:
+            client = ServiceClient(fake.path)
+            assert client.ping()["ok"] is True
+            # Each connection loses its second answer: the reused one
+            # fails before any response byte, and the request is resent
+            # once on a fresh connection...
+            assert client.ping()["ok"] is True
+            assert client.submit(keyed_spec("lost-ack",
+                                            exp_id="lost")) == "fake"
+            assert fake.connections == 3
+            # ...but never an unkeyed POST, which could land twice.
+            with pytest.raises(ServiceError, match="before answering"):
+                client.submit(small_spec(exp_id="lost-unkeyed"))
+            assert fake.connections == 3
+            assert fake.methods == ["GET", "GET", "GET", "POST", "POST",
+                                    "POST"]
+            assert client.retries_used == 0
+        finally:
+            fake.close()
+
+
+class _LosesSecondAnswer:
+    """A fake daemon that answers the first request on each connection
+    and closes the connection, unanswered, on the second."""
+
+    def __init__(self, path):
+        self.path = path
+        self.connections = 0
+        self.methods = []
+        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._listener.bind(path)
+        self._listener.listen(8)
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def close(self):
+        self._listener.shutdown(socket.SHUT_RDWR)
+        self._listener.close()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            self.connections += 1
+            threading.Thread(target=self._serve, args=(conn,),
+                             daemon=True).start()
+
+    def _serve(self, conn):
+        body = b'{"ok": true, "id": "fake"}'
+        with conn, conn.makefile("rb") as rfile:
+            for answer in (True, False):
+                request_line = rfile.readline()
+                if not request_line:
+                    return
+                length = 0
+                for header in iter(rfile.readline, b"\r\n"):
+                    name, _, value = header.partition(b":")
+                    if name.strip().lower() == b"content-length":
+                        length = int(value)
+                rfile.read(length)
+                self.methods.append(request_line.split()[0].decode())
+                if answer:
+                    conn.sendall(
+                        b"HTTP/1.1 200 OK\r\n"
+                        b"Content-Type: application/json\r\n"
+                        b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+
+
 def _listener_only(daemon):
     """Serve ``daemon``'s wire API without its scheduler loop; yields it
     and drains it (waking parked long-polls) on the way out."""
@@ -1412,7 +1586,10 @@ class TestOverloadWire:
         assert "saturated" in str(excinfo.value)
         # shed before admission and before disk: nothing was journaled
         assert idle_daemon.service.scheduler.backlog == 4
-        assert client.status()["overload"]["shed"] == 1
+        status = client.status()
+        assert status["overload"]["shed"] == 1
+        # the 429 closed the connection: the status call made a new one
+        assert status["wire"]["connections"] == 2
 
     def test_client_retries_shed_submit_only_with_key(self, idle_daemon):
         sock = idle_daemon.socket_path
@@ -1670,6 +1847,19 @@ class TestCliService:
             thread.join(timeout=30)
         assert rc == 0
         assert not thread.is_alive()
+
+    def test_status_names_the_retired_campaigns_it_leaves_out(
+            self, monkeypatch, capsys):
+        from repro.cli import main
+        row = {"id": "run-x", "tenant": "alice", "priority": 0,
+               "state": "done", "cells": {"done": 1, "total": 1},
+               "stats": {}}
+        monkeypatch.setattr(ServiceClient, "status", lambda self: {
+            "pid": 1, "backlog": 0, "steps": 3, "campaigns": [row],
+            "counts": {"done": 3}})
+        assert main(["status", "--socket", "unused.sock"]) == 0
+        assert "(2 older retired campaign(s) not listed)" \
+            in capsys.readouterr().out
 
     def test_status_without_daemon_exits_1(self, tmp_path, capsys):
         from repro.cli import main
