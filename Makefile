@@ -165,7 +165,10 @@ resume:
 fsck:
 	rm -rf .repro-fsck-cache .repro-fsck-runs
 	REPRO_CACHE_DIR=.repro-fsck-cache REPRO_RUNS_DIR=.repro-fsck-runs \
-	  $(PYTHON) -m repro run --models julia,numba --sizes 256,512 > /dev/null
+	  $(PYTHON) -m repro run --models julia,numba --sizes 256,512 \
+	  --engine process --jobs 2 > /dev/null
+	@$(PYTHON) -c "import glob, sys; litter = glob.glob('.repro-fsck-cache/*/*.lock') \
+	  + glob.glob('.repro-fsck-cache/*/*.tmp'); litter and sys.exit(f'store litter: {litter}')"
 	$(PYTHON) -m repro fsck --cache-dir .repro-fsck-cache --runs-dir .repro-fsck-runs
 	@$(PYTHON) -c "import glob; p = glob.glob('.repro-fsck-cache/*/*.json')[0]; \
 	  s = open(p).read(); open(p, 'w').write(s.replace('times_s', 'times_x', 1))"

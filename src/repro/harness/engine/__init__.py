@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .cache import (CacheStats, LOCK_GRACE_SECONDS, ResultCache,
-                    TMP_GRACE_SECONDS, default_cache_dir)
+from .cache import (CacheStats, ResultCache, TMP_GRACE_SECONDS,
+                    default_cache_dir)
 from .executor import ENGINE_MODES, CellRecord, SweepEngine, SweepReport
 from .fingerprint import (
     CONSTANTS_VERSION,
@@ -40,7 +40,6 @@ __all__ = [
     "ResultCache",
     "default_cache_dir",
     "TMP_GRACE_SECONDS",
-    "LOCK_GRACE_SECONDS",
     "WatchdogPolicy",
     "CellRecord",
     "CellTask",

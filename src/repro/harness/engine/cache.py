@@ -2,50 +2,51 @@
 
 One JSON file per measurement, named by its cell fingerprint and sharded
 into 256 two-hex-digit subdirectories.  Entries embed the export schema
-version, :data:`~repro.harness.engine.fingerprint.CONSTANTS_VERSION`
-and a SHA-256 content digest over the measurement payload; any mismatch
-on read counts as an eviction (the bad file is deleted) and the cell is
-recomputed.  Every corruption path self-heals the same way — a decode
-failure, a stale version, a missing/incorrect digest and a semantically
-broken payload all evict, count, and return a miss, so one bad byte on
-disk can never kill a campaign.  ``repro fsck`` additionally quarantines
-(rather than deletes) entries whose digest proves a bit-flip, for
-post-mortem.
+version, :data:`~repro.harness.engine.fingerprint.CONSTANTS_VERSION`,
+the fingerprint they are filed under and a SHA-256 content digest over
+the measurement payload.  :meth:`ResultCache.inspect` is the one rule
+for what a valid entry is; :meth:`ResultCache.get` and ``repro fsck``
+both apply it.  Every corruption path self-heals the same way on read —
+a decode failure, a stale version, a misfiled entry, a missing or wrong
+digest and a payload that does not decode all evict, count, and return
+a miss, so one bad byte on disk can never kill a campaign.  ``repro
+fsck`` quarantines (rather than deletes) the entries that lie about
+themselves, for post-mortem.
 
-Writes are atomic (temp file + ``os.replace``) and the in-process
-hit/miss/store/evict counters are lock-protected, so the cache is safe
-to share across the daemon's threads.  The store is additionally safe
-for *multi-process* writers (the ``--engine process`` fan-out): every
-replace and eviction runs under a per-digest advisory file lock
-(``fcntl.flock`` on a ``<entry>.lock`` sidecar, degrading to the
-in-process lock where ``fcntl`` is unavailable), :meth:`ResultCache.put`
-is compare-and-swap — it re-checks for a valid entry under the lock and
-drops its own bytes if another writer already landed one — and
-:meth:`ResultCache._evict` re-validates under the lock so it can never
-unlink a fresh entry that a concurrent writer just produced.
+Writes take no lock, so the store is safe for multi-process writers
+(the ``--engine process`` fan-out) and the daemon's threads alike.
+:meth:`ResultCache.put` writes a ``mkstemp`` temp file in the entry's
+shard and publishes it with ``os.link(tmp, entry)``, an atomic
+create-if-absent.  If an entry already exists and is valid, a racing
+writer landed the same pure cell first and the put backs off; only an
+invalid entry is overwritten, with ``os.replace``.  The temp file is
+always unlinked, so a put that stores leaves one new file.
+:meth:`ResultCache._evict` renames a bad entry aside to a unique
+``*.tmp`` name in its shard and checks the moved file: if a concurrent
+writer's fresh entry was what it moved, it links that entry back, so an
+eviction can never lose a valid entry.  The store therefore needs a
+filesystem with hard links (ext4, XFS, btrfs and tmpfs have them); it
+takes no ``flock``.
 
-A writer killed between ``mkstemp`` and ``os.replace`` leaves an
-orphaned ``*.tmp`` file; :meth:`ResultCache.clear`, ``repro fsck`` and
-:meth:`ResultCache.disk_stats` all account for those.  Cleanup only
-touches temp files older than :data:`TMP_GRACE_SECONDS`, so it cannot
-unlink another worker's in-flight temp file.  Lock sidecars abandoned
-by SIGKILL'd workers are reaped the same way, behind the
-:data:`LOCK_GRACE_SECONDS` age grace (``flock`` locks die with their
-holder, so a *stale* sidecar is pure litter — but removing a *live*
-one would hand two processes different inodes for the same digest).
+A writer killed mid-``put`` leaves an orphaned ``*.tmp`` file, and
+builds that locked each put left a ``<entry>.lock`` sidecar per entry.
+:meth:`ResultCache.litter_paths` yields both; :meth:`ResultCache.clear`,
+:meth:`ResultCache.reclaim_space`, :meth:`ResultCache.disk_stats` and
+``repro fsck`` all use it.  Cleanup only touches files older than
+:data:`TMP_GRACE_SECONDS`, so it cannot unlink another worker's
+in-flight temp file.
 
 Disk pressure: the cache is an accelerator, never a correctness
 dependency, so a full disk must not kill a campaign.  An ``ENOSPC`` /
 ``EDQUOT`` during :meth:`ResultCache.put` triggers a best-effort
-:meth:`ResultCache.reclaim_space` (aged temp orphans + stale locks) and
-one retry; if the store is still full the cache flips into *read-only
-degraded mode* — reads keep serving, every further store is counted and
-skipped, and the campaign recomputes what it cannot cache.
+:meth:`ResultCache.reclaim_space` (aged litter) and one retry; if the
+store is still full the cache flips into *read-only degraded mode* —
+reads keep serving, every further store is counted and skipped, and the
+campaign recomputes what it cannot cache.
 """
 
 from __future__ import annotations
 
-import contextlib
 import errno
 import json
 import os
@@ -56,13 +57,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None  # type: ignore[assignment]
-
 from ...chaos.plan import chaos_strike
-from ...core.types import Precision
 from ...errors import CacheError
 from ...ioutil import content_digest
 from ..export import (
@@ -74,18 +69,13 @@ from ..results import Measurement
 from .fingerprint import CONSTANTS_VERSION
 
 __all__ = ["CacheStats", "ResultCache", "default_cache_dir",
-           "TMP_GRACE_SECONDS", "LOCK_GRACE_SECONDS"]
+           "TMP_GRACE_SECONDS"]
 
-#: Minimum age before an orphaned ``*.tmp`` file may be unlinked by
-#: cleanup (:meth:`ResultCache.clear`, ``repro fsck``).  A concurrent
+#: Minimum age before store litter (an orphaned ``*.tmp`` file or a
+#: legacy ``*.lock`` sidecar) may be unlinked by cleanup.  A concurrent
 #: worker's in-flight temp file is at most milliseconds old; anything
 #: past this window belongs to a writer that died mid-``put``.
 TMP_GRACE_SECONDS = 60.0
-
-#: Same age grace for ``*.lock`` sidecars: a live writer holds its lock
-#: for milliseconds, so a sidecar this old belongs to a worker that was
-#: SIGKILL'd mid-``put`` (the kernel released the ``flock`` with it).
-LOCK_GRACE_SECONDS = 60.0
 
 
 def default_cache_dir() -> str:
@@ -124,10 +114,6 @@ class CacheStats:
             return {"hits": self.hits, "misses": self.misses,
                     "stores": self.stores, "evictions": self.evictions}
 
-    def as_dict(self) -> Dict[str, int]:
-        """Alias of :meth:`snapshot` for symmetry with the exporters."""
-        return self.snapshot()
-
 
 class ResultCache:
     """Fingerprint-keyed persistent store of :class:`Measurement` cells."""
@@ -135,7 +121,6 @@ class ResultCache:
     def __init__(self, root: Optional[str] = None) -> None:
         self.root = root or default_cache_dir()
         self.stats = CacheStats()
-        self._io_lock = threading.Lock()
         #: Degraded mode: a full disk flips the store read-only rather
         #: than crashing the campaign (reads keep serving).
         self.read_only = False
@@ -150,89 +135,84 @@ class ResultCache:
             raise CacheError(f"malformed fingerprint {fingerprint!r}")
         return os.path.join(self.root, fingerprint[:2], fingerprint + ".json")
 
-    # -- locking ----------------------------------------------------------
-
-    @contextlib.contextmanager
-    def _digest_lock(self, path: str):
-        """Advisory per-digest lock serialising replace/evict across
-        processes.
-
-        Taken on a ``<entry>.lock`` sidecar (never the entry itself, which
-        ``os.replace`` swaps out from under an open descriptor).  Falls
-        back to the in-process lock where ``fcntl`` is unavailable —
-        single-process semantics are unchanged either way.
-        """
-        if fcntl is None:  # pragma: no cover - non-POSIX
-            with self._io_lock:
-                yield
-            return
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd = os.open(path + ".lock", os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
-
     # -- read/write -------------------------------------------------------
 
-    def _load_valid(self, path: str) -> "Tuple[str, Optional[Measurement]]":
-        """Full validation of one entry file: ``(status, measurement)``.
+    def inspect(self, path: str, fingerprint: str
+                ) -> "Tuple[str, str, Optional[Measurement]]":
+        """Check the entry file ``path`` filed under ``fingerprint``:
+        ``(kind, detail, measurement)``.
 
-        ``status`` is ``"missing"``, ``"invalid"`` (any corruption —
-        undecodable bytes, stale versions, digest mismatch, semantically
-        broken payload) or ``"ok"``.  Pure: touches no counters.
+        ``kind`` is ``"ok"`` (``measurement`` is the decoded cell),
+        ``"missing"``, or one of the corruption kinds ``repro fsck``
+        reports: ``cache-parse`` (undecodable file), ``cache-stale``
+        (older schema/constants), ``cache-misfiled`` (names another
+        fingerprint), ``cache-undigested`` (no content digest),
+        ``cache-digest`` (digest mismatch) or ``cache-payload``
+        (digest-valid but undecodable measurement).  ``detail`` says
+        why, for reports.  Pure: touches no counters and no files.
         """
         try:
             with open(path) as fh:
                 entry = json.load(fh)
         except FileNotFoundError:
-            return "missing", None
-        except (OSError, json.JSONDecodeError):
-            return "invalid", None
+            return "missing", "", None
+        except (OSError, ValueError) as exc:
+            return "cache-parse", f"undecodable entry ({exc})", None
+        if not isinstance(entry, dict):
+            return "cache-parse", "entry is not a JSON object", None
         if (entry.get("schema") != SCHEMA_VERSION
-                or entry.get("constants") != CONSTANTS_VERSION
-                or "measurement" not in entry
-                or entry.get("digest") != content_digest(entry["measurement"])):
-            return "invalid", None
+                or entry.get("constants") != CONSTANTS_VERSION):
+            return ("cache-stale",
+                    f"schema/constants {entry.get('schema')!r}/"
+                    f"{entry.get('constants')!r} predate this build", None)
+        if entry.get("fingerprint") != fingerprint:
+            return ("cache-misfiled",
+                    f"entry names fingerprint {entry.get('fingerprint')!r}",
+                    None)
+        stated = entry.get("digest")
+        if stated is None:
+            return "cache-undigested", "entry predates content digests", None
+        payload = entry.get("measurement")
+        actual = content_digest(payload)
+        if stated != actual:
+            return ("cache-digest",
+                    f"content digest mismatch (stated {str(stated)[:12]}..., "
+                    f"actual {actual[:12]}...)", None)
         try:
-            raw_precision = entry["measurement"].get("precision", "fp64")
-            m = measurement_from_dict(
-                entry["measurement"],
-                default_precision=Precision.parse(raw_precision))
-        except (KeyError, TypeError, ValueError):
-            return "invalid", None
-        return "ok", m
+            m = measurement_from_dict(payload)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            return ("cache-payload",
+                    f"digest-valid measurement does not decode ({exc!r})",
+                    None)
+        return "ok", "", m
 
     def get(self, fingerprint: str) -> Optional[Measurement]:
         """The cached measurement, or ``None`` on any miss/bad entry.
 
-        Self-healing is uniform: undecodable files, stale schema or
-        constants versions, digest mismatches and semantically corrupt
-        payloads all evict the entry, bump the eviction counter and
-        return ``None`` so the engine recomputes the cell.
+        Self-healing is uniform: every kind :meth:`inspect` reports
+        other than ``ok`` and ``missing`` evicts the entry, bumps the
+        eviction counter and returns ``None`` so the engine recomputes
+        the cell.
         """
         path = self._path(fingerprint)
-        status, m = self._load_valid(path)
-        if status == "missing":
+        kind, _, m = self.inspect(path, fingerprint)
+        if kind == "ok":
+            self.stats.record(hits=1)
+        elif kind == "missing":
             self.stats.record(misses=1)
-            return None
-        if status == "invalid":
+        else:
             self._evict(path)
-            return None
-        self.stats.record(hits=1)
         return m
 
     def put(self, fingerprint: str, measurement: Measurement,
             metadata: Optional[Dict[str, Any]] = None) -> bool:
         """Store one measurement atomically under its fingerprint.
 
-        Compare-and-swap under the per-digest lock: if a concurrent
-        writer already landed a valid entry, this writer's bytes are
-        discarded (both raced the same pure cell, so the payloads agree)
-        and the method returns ``False``.  Returns ``True`` when this
-        call's entry is the one on disk.
+        Create-if-absent: if a concurrent writer already landed a valid
+        entry, this writer's bytes are discarded (both raced the same
+        pure cell, so the payloads agree) and the method returns
+        ``False``.  Returns ``True`` when this call's entry is the one
+        on disk.
 
         Disk pressure never propagates: ``ENOSPC``/``EDQUOT`` triggers
         one :meth:`reclaim_space` + retry, then flips the store into
@@ -275,28 +255,27 @@ class ResultCache:
 
     def _write_entry(self, path: str, directory: str, entry: Dict[str, Any],
                      fingerprint: str) -> bool:
-        # One atomic CAS write attempt; OSErrors propagate to put()'s
-        # pressure handling.  Chaos strike point "cache-put": an armed
-        # plan simulates a full disk here by raising ENOSPC.
+        # One atomic create-if-absent attempt; OSErrors propagate to
+        # put()'s pressure handling.  Chaos strike point "cache-put": an
+        # armed plan simulates a full disk here by raising ENOSPC.
         chaos_strike("cache-put", fingerprint)
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
                 json.dump(entry, fh)
-            with self._digest_lock(path):
-                status, _ = self._load_valid(path)
-                if status == "ok":
-                    os.unlink(tmp)
+            try:
+                os.link(tmp, path)
+            except FileExistsError:
+                if self.inspect(path, fingerprint)[0] == "ok":
                     return False
                 os.replace(tmp, path)
-        except OSError:
+            return True
+        finally:
             try:
                 os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return True
+            except FileNotFoundError:
+                pass  # os.replace moved it into place
 
     def _note_pressure(self, exc: OSError, flip: bool = False) -> None:
         with self._pressure_lock:
@@ -319,32 +298,39 @@ class ResultCache:
             return out
 
     def _evict(self, path: str) -> None:
-        """Remove a bad entry — unless a concurrent writer already
-        replaced it with a valid one (re-checked under the lock)."""
-        with self._digest_lock(path):
-            status, _ = self._load_valid(path)
-            if status == "ok":
-                # Our read raced a replace; the entry on disk is fine.
-                # Count a plain miss and leave it for the next reader.
-                self.stats.record(misses=1)
-                return
+        """Remove a bad entry — unless what sits at ``path`` by now is a
+        concurrent writer's valid one, which is put back."""
+        moved = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+        try:
+            os.rename(path, moved)
+        except OSError:
+            # Another reader or fsck moved the bad entry first.
+            self.stats.record(misses=1, evictions=1)
+            return
+        fingerprint = os.path.splitext(os.path.basename(path))[0]
+        restored = self.inspect(moved, fingerprint)[0] == "ok"
+        if restored:
+            # Our read raced a writer; the moved entry is fine.  A newer
+            # entry may already be in place, or cleanup may have reaped
+            # the moved file (it keeps the entry's mtime): nothing to do.
             try:
-                os.unlink(path)
+                os.link(moved, path)
             except OSError:
                 pass
-        self.stats.record(misses=1, evictions=1)
+        try:
+            os.unlink(moved)
+        except OSError:
+            pass
+        self.stats.record(misses=1, evictions=0 if restored else 1)
 
     # -- maintenance ------------------------------------------------------
 
     def clear(self) -> int:
-        """Delete every entry (plus *aged* lock sidecars and orphaned
-        temp files); returns how many *entries* were removed.
+        """Delete every entry (plus litter past its grace); returns how
+        many *entries* were removed.
 
-        Temp files younger than :data:`TMP_GRACE_SECONDS` and lock
-        sidecars younger than :data:`LOCK_GRACE_SECONDS` are left
-        alone: they may belong to another worker's in-flight write
-        (unlinking a *held* lock file would hand the next locker a
-        different inode — two owners for one digest).
+        Litter younger than :data:`TMP_GRACE_SECONDS` is left alone: it
+        may be another worker's in-flight write.
         """
         removed = 0
         for path in self._entry_paths():
@@ -353,32 +339,31 @@ class ResultCache:
                 removed += 1
             except OSError:
                 pass
-        for extra in list(self.orphan_tmp_paths(
-                min_age_s=TMP_GRACE_SECONDS)) + list(self.stale_lock_paths()):
-            try:
-                os.unlink(extra)
-            except OSError:
-                pass
+        self._unlink_all(self.litter_paths(TMP_GRACE_SECONDS))
         return removed
 
     def reclaim_space(self) -> int:
         """Best-effort space recovery under disk pressure.
 
-        Unlinks aged temp orphans and stale lock sidecars — the only
-        store contents that are pure litter — and returns how many files
-        were removed.  Called automatically by :meth:`put` on the first
-        ``ENOSPC`` before the store degrades to read-only.
+        Unlinks aged litter — the only store contents that are not
+        entries — and returns how many files were removed.  Called
+        automatically by :meth:`put` on the first ``ENOSPC`` before the
+        store degrades to read-only.
         """
+        removed = self._unlink_all(self.litter_paths(TMP_GRACE_SECONDS))
+        with self._pressure_lock:
+            self._pressure["reclaimed"] += removed
+        return removed
+
+    @staticmethod
+    def _unlink_all(paths) -> int:
         removed = 0
-        for path in list(self.orphan_tmp_paths(
-                min_age_s=TMP_GRACE_SECONDS)) + list(self.stale_lock_paths()):
+        for path in list(paths):
             try:
                 os.unlink(path)
                 removed += 1
             except OSError:
                 pass
-        with self._pressure_lock:
-            self._pressure["reclaimed"] += removed
         return removed
 
     def _shard_dirs(self):
@@ -399,18 +384,20 @@ class ResultCache:
                 if name.endswith(".json"):
                     yield os.path.join(shard_dir, name)
 
-    def orphan_tmp_paths(self, min_age_s: float = 0.0):
-        """Temp files abandoned by writers killed mid-:meth:`put`.
+    def litter_paths(self, min_age_s: float = 0.0):
+        """Store files that are not entries: ``*.tmp`` files (writers
+        killed mid-:meth:`put`) and the ``*.lock`` sidecars that builds
+        with a locking put left behind.
 
-        With ``min_age_s`` only temp files at least that old (by mtime)
-        are yielded — cleanup callers pass :data:`TMP_GRACE_SECONDS` so a
+        With ``min_age_s`` only files at least that old (by mtime) are
+        yielded — cleanup callers pass :data:`TMP_GRACE_SECONDS` so a
         concurrent worker's in-flight temp file is never touched; stats
         callers pass 0 to count everything.
         """
         now = time.time()
         for shard_dir in self._shard_dirs():
             for name in sorted(os.listdir(shard_dir)):
-                if not name.endswith(".tmp"):
+                if not name.endswith((".tmp", ".lock")):
                     continue
                 path = os.path.join(shard_dir, name)
                 if min_age_s > 0.0:
@@ -421,32 +408,8 @@ class ResultCache:
                         continue
                 yield path
 
-    def _lock_paths(self):
-        for shard_dir in self._shard_dirs():
-            for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".lock"):
-                    yield os.path.join(shard_dir, name)
-
-    def stale_lock_paths(self, min_age_s: float = LOCK_GRACE_SECONDS):
-        """Lock sidecars abandoned by workers killed mid-:meth:`put`.
-
-        Only sidecars at least ``min_age_s`` old (by mtime) are yielded,
-        mirroring :meth:`orphan_tmp_paths`'s grace: a live writer holds
-        its lock for milliseconds, so anything past the window belongs
-        to a SIGKILL'd worker.  Pass 0 to list every sidecar.
-        """
-        now = time.time()
-        for path in self._lock_paths():
-            if min_age_s > 0.0:
-                try:
-                    if now - os.path.getmtime(path) < min_age_s:
-                        continue
-                except OSError:
-                    continue
-            yield path
-
     def disk_stats(self) -> Dict[str, int]:
-        """Entry count, total bytes, and orphaned temp files on disk."""
+        """Entry count, total bytes, and litter files on disk."""
         entries = 0
         size = 0
         for path in self._entry_paths():
@@ -455,7 +418,7 @@ class ResultCache:
                 entries += 1
             except OSError:
                 pass
-        tmp_orphans = sum(1 for _ in self.orphan_tmp_paths())
+        tmp_orphans = sum(1 for _ in self.litter_paths())
         return {"entries": entries, "bytes": size,
                 "tmp_orphans": tmp_orphans}
 
@@ -476,7 +439,8 @@ class ResultCache:
         ]
         if disk["tmp_orphans"]:
             lines.insert(3, f"tmp orphans: {disk['tmp_orphans']} "
-                            "(writers killed mid-put; run `repro fsck`)")
+                            "(killed writers, older builds' locks; "
+                            "run `repro fsck`)")
         if self.read_only:
             pressure = self.pressure_snapshot()
             lines.append(

@@ -5,12 +5,14 @@ run-journal registry, and exported JSON artifacts — and all three live
 on filesystems that bit-rot, fill up, and host processes that die
 mid-write.  ``fsck_store`` walks them all:
 
-* **cache entries** must parse, carry the current schema/constants
-  versions, name the fingerprint they are filed under, and match their
-  embedded SHA-256 content digest.  Undecodable or digest-mismatched
-  entries are *quarantined* (moved aside for post-mortem, never served
-  again); stale-but-honest entries are evicted; orphaned ``*.tmp``
-  files from writers killed mid-``put`` are removed.
+* **cache entries** are checked by :meth:`ResultCache.inspect`, the
+  same rule the cache's reads apply: they must parse, carry the current
+  schema/constants versions, name the fingerprint they are filed under,
+  match their embedded SHA-256 content digest and decode.  Entries that
+  lie about themselves are *quarantined* (moved aside for post-mortem,
+  never served again); stale-but-honest entries are evicted; aged
+  litter (``*.tmp`` files from writers killed mid-``put``, ``*.lock``
+  sidecars from older builds) is removed.
 * **journals** must replay cleanly; a torn tail is recovered by
   truncating to the longest valid record prefix (the write-ahead
   guarantee makes that prefix trustworthy), unreadable journals are
@@ -34,10 +36,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
 from ...errors import JournalError
-from ...ioutil import content_digest, read_json_artifact
-from ..export import SCHEMA_VERSION
-from ..engine.cache import LOCK_GRACE_SECONDS, TMP_GRACE_SECONDS, ResultCache
-from ..engine.fingerprint import CONSTANTS_VERSION
+from ...ioutil import read_json_artifact
+from ..engine.cache import TMP_GRACE_SECONDS, ResultCache
 from .journal import load_journal, _truncate_to_valid_prefix
 from .registry import RunRegistry
 
@@ -71,7 +71,7 @@ class FsckReport:
     journals: int = 0
     artifacts: int = 0
     tmp_removed: int = 0
-    #: Stale ``*.lock`` sidecars reaped (SIGKILL'd writers; age-graced).
+    #: Aged ``*.lock`` sidecars reaped (left by builds that locked puts).
     locks_removed: int = 0
     #: Journals owned by a live process (ACTIVE sidecar) — skipped, not
     #: findings: an in-flight journal legitimately ends mid-record.
@@ -135,73 +135,43 @@ def _quarantine(cache: ResultCache, path: str) -> str:
     return _quarantine_into(cache.root, path)
 
 
-def _check_cache_entry(cache: ResultCache, path: str,
-                       report: FsckReport) -> None:
-    fingerprint = os.path.splitext(os.path.basename(path))[0]
-    try:
-        with open(path) as fh:
-            entry = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        dest = _quarantine(cache, path)
-        report.add("corrupt", "cache-parse", path,
-                   f"undecodable entry ({exc})", f"quarantined to {dest}")
-        return
-    if (entry.get("schema") != SCHEMA_VERSION
-            or entry.get("constants") != CONSTANTS_VERSION):
-        os.unlink(path)
-        report.add("warning", "cache-stale", path,
-                   f"schema/constants {entry.get('schema')!r}/"
-                   f"{entry.get('constants')!r} predate this build",
-                   "evicted")
-        return
-    if entry.get("fingerprint") != fingerprint:
-        dest = _quarantine(cache, path)
-        report.add("corrupt", "cache-misfiled", path,
-                   f"entry names fingerprint {entry.get('fingerprint')!r}",
-                   f"quarantined to {dest}")
-        return
-    stated = entry.get("digest")
-    if stated is None:
-        os.unlink(path)
-        report.add("warning", "cache-undigested", path,
-                   "entry predates content digests", "evicted")
-        return
-    actual = content_digest(entry.get("measurement"))
-    if stated != actual:
-        dest = _quarantine(cache, path)
-        report.add("corrupt", "cache-digest", path,
-                   f"content digest mismatch (stated {stated[:12]}..., "
-                   f"actual {actual[:12]}...)", f"quarantined to {dest}")
+#: Entry kinds (from :meth:`ResultCache.inspect`) that are honest but
+#: out of date: evicted with a warning.  Every other bad kind lies about
+#: itself and is quarantined as corruption.
+_EVICTED_KINDS = frozenset({"cache-stale", "cache-undigested"})
 
 
 def _fsck_cache(cache: ResultCache, report: FsckReport) -> None:
     report.cache_root = cache.root
     for path in list(cache._entry_paths()):
         report.cache_entries += 1
-        _check_cache_entry(cache, path, report)
-    # Only temp files past the grace window: a younger one may be a live
-    # worker's in-flight write (the process-pool engine races fsck-able
-    # stores), and unlinking it would corrupt that worker's put.
-    for tmp in list(cache.orphan_tmp_paths(min_age_s=TMP_GRACE_SECONDS)):
+        fingerprint = os.path.splitext(os.path.basename(path))[0]
+        kind, detail, _ = cache.inspect(path, fingerprint)
+        if kind in ("ok", "missing"):
+            continue
+        if kind in _EVICTED_KINDS:
+            os.unlink(path)
+            report.add("warning", kind, path, detail, "evicted")
+        else:
+            dest = _quarantine(cache, path)
+            report.add("corrupt", kind, path, detail,
+                       f"quarantined to {dest}")
+    # Only litter past the grace window: a younger temp file may be a
+    # live worker's in-flight write (the process-pool engine races
+    # fsck-able stores), and unlinking it would corrupt that worker's put.
+    for path in list(cache.litter_paths(TMP_GRACE_SECONDS)):
         try:
-            os.unlink(tmp)
-            report.tmp_removed += 1
-            report.add("warning", "tmp-orphan", tmp,
-                       "writer died mid-put", "removed")
+            os.unlink(path)
         except OSError:
-            pass
-    # Same age-grace logic for lock sidecars: a SIGKILL'd worker's flock
-    # died with it, so a stale sidecar can never wedge a digest — but a
-    # younger one may be held right now, and unlinking a *held* lock
-    # file would give the next locker a different inode.
-    for lock in list(cache.stale_lock_paths(min_age_s=LOCK_GRACE_SECONDS)):
-        try:
-            os.unlink(lock)
+            continue
+        if path.endswith(".lock"):
             report.locks_removed += 1
-            report.add("warning", "lock-orphan", lock,
-                       "writer died holding its digest lock", "removed")
-        except OSError:
-            pass
+            report.add("warning", "lock-orphan", path,
+                       "lock sidecar left by an older build", "removed")
+        else:
+            report.tmp_removed += 1
+            report.add("warning", "tmp-orphan", path,
+                       "writer died mid-put", "removed")
 
 
 # -- journals -------------------------------------------------------------

@@ -35,6 +35,11 @@ GET    ``/v1/ping``                   liveness/readiness probe: ``{"ok":
 POST   ``/v1/shutdown``               graceful stop (journals stay resumable)
 ====== ============================== ===========================================
 
+A POST's body is read in full before it is routed, so no answer leaves
+it unread on the connection.  A body over :data:`MAX_BODY_BYTES` is
+refused with 413 and a ``Content-Length`` that is not a non-negative
+integer with 400; both close the connection.
+
 Connections: a client keeps its connection open (HTTP/1.1 keep-alive)
 and the daemon serves each connection on one handler thread, request
 after request, so a client costs one connect and one thread start, not
@@ -82,7 +87,7 @@ from .service import CampaignService
 from .spec import spec_from_dict
 
 __all__ = ["default_socket_path", "CampaignDaemon", "IDLE_TIMEOUT_S",
-           "MAX_HANDLER_THREADS", "MAX_PARKED_WAITS"]
+           "MAX_BODY_BYTES", "MAX_HANDLER_THREADS", "MAX_PARKED_WAITS"]
 
 #: How long the scheduler thread dozes (s) when the queue is empty.
 _IDLE_POLL_S = 0.05
@@ -101,6 +106,10 @@ MAX_HANDLER_THREADS = 32
 #: closes it, freeing its handler thread; clients stop reusing one after
 #: half of this.
 IDLE_TIMEOUT_S = 5.0
+
+#: Largest POST body (bytes) the daemon reads; a campaign spec is a few
+#: hundred bytes, so anything near this is not one.
+MAX_BODY_BYTES = 1 << 20
 
 #: Long-polls (``GET /v1/campaigns/<id>?wait=S``) that may park a
 #: handler thread at once — well below :data:`MAX_HANDLER_THREADS`, so
@@ -282,19 +291,35 @@ class _Handler(BaseHTTPRequestHandler):
                                "kind": type(exc).__name__})
 
     def _overload(self, code: int, message: str, hint: float) -> None:
-        """429/503 with the ``Retry-After`` hint in header and body.
-
-        The connection closes after it: a refused POST's body is never
-        read, and must not be parsed as the next request.
+        """429/503 with the ``Retry-After`` hint in header and body; the
+        connection closes after it, so the client retries on a new one.
         """
         self._send_json(code, {"error": message, "kind": "OverloadError",
                                "retry_after_s": hint},
                         headers={"Retry-After": str(int(hint)),
                                  "Connection": "close"})
 
-    def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+    def _take_body(self) -> Optional[bytes]:
+        """The request's body, read once and bounded before routing, so
+        that no answer leaves it on the connection to be parsed as the
+        next request.  ``None`` after a 400/413 that closes the
+        connection: the body's extent is unknown or too large to read.
+        """
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            code, message = 400, (f"Content-Length {raw!r} is not a "
+                                  f"non-negative integer")
+        elif int(raw) > MAX_BODY_BYTES:
+            code, message = 413, (f"request body of {raw} bytes exceeds "
+                                  f"the {MAX_BODY_BYTES}-byte limit")
+        else:
+            return self.rfile.read(int(raw))
+        self._send_json(code, {"error": message, "kind": "ConfigError"},
+                        headers={"Connection": "close"})
+        return None
+
+    @staticmethod
+    def _read_body(raw: bytes) -> Dict[str, Any]:
         if not raw:
             raise ConfigError("request carries no JSON body")
         try:
@@ -355,6 +380,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         self.server.count_request()
+        body = self._take_body()
+        if body is None:
+            return
         daemon = self.daemon_ref
         service = daemon.service
         parts = [p for p in urlparse(self.path).path.split("/") if p]
@@ -371,7 +399,7 @@ class _Handler(BaseHTTPRequestHandler):
                         service.retry_after_s())
                     return
                 service.check_overload()  # raises OverloadError -> 429
-                spec = spec_from_dict(self._read_body())
+                spec = spec_from_dict(self._read_body(body))
                 campaign_id, duplicate = service.submit_idempotent(spec)
                 if duplicate:
                     # The submission_key was seen before: answer 200

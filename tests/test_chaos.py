@@ -31,7 +31,7 @@ from repro.core.types import DeviceKind, Precision
 from repro.errors import ConfigError, WorkerLost
 from repro.harness import Experiment
 from repro.harness.engine import (
-    LOCK_GRACE_SECONDS,
+    TMP_GRACE_SECONDS,
     ResultCache,
     RunOptions,
     SweepEngine,
@@ -281,7 +281,7 @@ class TestJournalDegradation:
 
 
 # --------------------------------------------------------------------------
-# Orphaned lock sidecars: age-graced reaping in clear() and fsck
+# Lock sidecars left by older builds: age-graced reaping in clear() and fsck
 # --------------------------------------------------------------------------
 
 class TestLockReaping:
@@ -293,15 +293,15 @@ class TestLockReaping:
         for p in (stale, young):
             with open(p, "w"):
                 pass
-        past = time.time() - (LOCK_GRACE_SECONDS + 60.0)
+        past = time.time() - (TMP_GRACE_SECONDS + 60.0)
         os.utime(stale, (past, past))
         return stale, young
 
-    def test_stale_lock_paths_respects_grace(self, tmp_path):
+    def test_litter_paths_respects_grace(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         stale, young = self._locks(cache)
-        assert list(cache.stale_lock_paths()) == [stale]
-        assert sorted(cache.stale_lock_paths(min_age_s=0)) == \
+        assert list(cache.litter_paths(TMP_GRACE_SECONDS)) == [stale]
+        assert sorted(cache.litter_paths(min_age_s=0)) == \
             sorted([stale, young])
 
     def test_clear_reaps_only_stale_locks(self, tmp_path):

@@ -7,6 +7,8 @@ traced == untraced.  Every test here pins some face of that contract.
 import json
 import multiprocessing
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -15,6 +17,8 @@ from repro.core.types import DeviceKind, Precision
 from repro.errors import ConfigError, RetryExhaustedError
 from repro.harness import Experiment, resolve_engine, run_campaign
 from repro.harness.export import result_set_to_json
+from repro.harness.journal import RunRegistry, fsck_store
+from repro.ioutil import content_digest
 from repro.harness.engine import (
     CONSTANTS_VERSION,
     ResultCache,
@@ -57,6 +61,66 @@ def _race_put(root, fingerprint, payload, n):
     store = ResultCache(root)
     for _ in range(n):
         store.put(fingerprint, m)
+
+
+def _race_get_put(root, fingerprint, payload, threads, n):
+    """Subprocess body: ``threads`` threads that each read (evicting a
+    bad entry) and write one digest, over and over."""
+    from repro.harness.engine import ResultCache
+    from repro.harness.export import measurement_from_dict
+
+    m = measurement_from_dict(payload)
+    store = ResultCache(root)
+
+    def hammer():
+        for _ in range(n):
+            store.get(fingerprint)
+            store.put(fingerprint, m)
+
+    workers = [threading.Thread(target=hammer) for _ in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to widen races
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+#: Ways to break a valid entry, each with the kind ``ResultCache.inspect``
+#: reports for it and the severity ``repro fsck`` gives that kind.
+ENTRY_CORRUPTIONS = [
+    ("not-json", "cache-parse", "corrupt"),
+    ("not-utf8", "cache-parse", "corrupt"),
+    ("stale", "cache-stale", "warning"),
+    ("misfiled", "cache-misfiled", "corrupt"),
+    ("undigested", "cache-undigested", "warning"),
+    ("digest", "cache-digest", "corrupt"),
+    ("payload", "cache-payload", "corrupt"),
+]
+
+
+def _corrupt_entry(corruption, entry):
+    """The bytes of a valid entry ``entry`` broken by ``corruption``."""
+    payload = entry["measurement"]
+    if corruption == "not-json":
+        return b"{not json"
+    if corruption == "not-utf8":
+        return b'{"schema": "\xff"}'
+    if corruption == "stale":
+        entry["constants"] = "0.stale"
+    elif corruption == "misfiled":
+        entry["fingerprint"] = "f" * 64
+    elif corruption == "undigested":
+        del entry["digest"]
+    elif corruption == "digest":
+        payload["times_s"] = payload["times_s"][::-1] + [1.0]
+    elif corruption == "payload":
+        del payload["model"]
+        entry["digest"] = content_digest(payload)
+    return json.dumps(entry).encode()
 
 
 @pytest.fixture
@@ -236,6 +300,38 @@ class TestCache:
         assert engine.last_report.cache_stats == {}
 
 
+class TestEntryCheck:
+    """``get`` and ``repro fsck`` apply one rule to a cache entry: every
+    bad kind is a miss plus one eviction on read, and the same finding,
+    at its severity, in fsck."""
+
+    @pytest.mark.parametrize("corruption,kind,severity", ENTRY_CORRUPTIONS)
+    def test_get_and_fsck_agree(self, cache, tmp_path, corruption, kind,
+                                severity):
+        exp = small_exp(models=("julia",), sizes=(256,))
+        SweepEngine(cache=cache).run(exp)
+        fp = cell_fingerprint(exp, "julia", exp.shapes()[0])
+        path = cache._path(fp)
+        with open(path) as fh:
+            bad = _corrupt_entry(corruption, json.load(fh))
+
+        def plant():
+            with open(path, "wb") as fh:
+                fh.write(bad)
+
+        plant()
+        reader = ResultCache(cache.root)
+        assert reader.get(fp) is None
+        assert reader.stats.snapshot()["evictions"] == 1
+        assert not os.path.exists(path)
+        plant()
+        report = fsck_store(cache=cache,
+                            registry=RunRegistry(str(tmp_path / "runs")))
+        assert [(i.kind, i.severity) for i in report.issues] == \
+            [(kind, severity)]
+        assert not os.path.exists(path)
+
+
 class TestConcurrentCacheWriters:
     """The process-pool engine makes the on-disk store multi-writer:
     racing puts must converge to one valid entry, evictions must never
@@ -290,6 +386,38 @@ class TestConcurrentCacheWriters:
         assert os.path.exists(path)
         assert cache.stats.snapshot()["evictions"] == before
         assert cache.get(fp) is not None
+
+    def test_forked_threads_heal_a_corrupt_entry(self, cache):
+        """Two forked processes x four threads, each reading (evicting)
+        and writing one digest whose entry starts corrupt: every round
+        ends with one valid entry and no litter in the shard."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        fp, path, payload = self._seed(cache)
+        shard = os.path.dirname(path)
+        ctx = multiprocessing.get_context("fork")
+        for _ in range(5):
+            with open(path, "w") as fh:
+                fh.write("{not json")
+            procs = [ctx.Process(target=_race_get_put,
+                                 args=(cache.root, fp, payload, 4, 10))
+                     for _ in range(2)]
+            for p in procs:
+                p.start()
+            for p in procs:
+                p.join(60)
+            assert all(p.exitcode == 0 for p in procs)
+            assert os.listdir(shard) == [os.path.basename(path)]
+            assert cache.inspect(path, fp)[0] == "ok"
+
+    def test_a_storing_put_leaves_one_file(self, cache, tmp_path):
+        fp, _, _ = self._seed(cache)
+        m = cache.get(fp)
+        fresh = ResultCache(str(tmp_path / "fresh"))
+        assert fresh.put(fp, m) is True
+        files = [os.path.join(d, name)
+                 for d, _, names in os.walk(fresh.root) for name in names]
+        assert files == [fresh._path(fp)]
 
     def test_young_tmp_survives_clear(self, cache):
         fp, path, _ = self._seed(cache)

@@ -1,5 +1,6 @@
 """Campaign service: spec precedence, scheduler, daemon, recovery."""
 
+import json
 import os
 import signal
 import socket
@@ -42,6 +43,7 @@ from repro.service import (
     spec_to_dict,
     spec_to_json,
 )
+from repro.service.daemon import MAX_BODY_BYTES
 from repro.sim.faults import FaultConfig
 
 
@@ -1081,6 +1083,38 @@ class TestDaemonWire:
         assert not thread.is_alive()
         assert time.perf_counter() - t0 < 0.1
 
+    def test_post_body_is_read_before_routing(self, daemon):
+        # A POST to an unknown route still consumes its body, so the
+        # next request on the same connection parses cleanly.
+        body = b'{"x": 1}'
+        with socket.socket(socket.AF_UNIX) as conn, \
+                conn.makefile("rb") as rfile:
+            conn.connect(daemon.socket_path)
+            conn.sendall(_raw_request("POST", "/v1/nowhere",
+                                      [f"Content-Length: {len(body)}"],
+                                      body))
+            assert _read_response(rfile)[0] == 404
+            conn.sendall(_raw_request("GET", "/v1/ping"))
+            status, _, payload = _read_response(rfile)
+            assert status == 200 and json.loads(payload)["ok"] is True
+
+    @pytest.mark.parametrize("length,code", [
+        ("abc", 400), ("-1", 400), ("1_0", 400),
+        (str(MAX_BODY_BYTES + 1), 413)])
+    def test_bad_or_oversized_body_is_refused_and_closed(
+            self, daemon, length, code):
+        with socket.socket(socket.AF_UNIX) as conn, \
+                conn.makefile("rb") as rfile:
+            conn.connect(daemon.socket_path)
+            conn.sendall(_raw_request("POST", "/v1/campaigns",
+                                      [f"Content-Length: {length}"]))
+            status, headers, payload = _read_response(rfile)
+            assert status == code
+            assert headers["connection"] == "close"
+            assert json.loads(payload)["kind"] == "ConfigError"
+            assert rfile.read() == b""  # the daemon closed it
+        assert daemon.service.scheduler.backlog == 0
+
     def test_wire_round_trip(self, daemon):
         client = ServiceClient(daemon.socket_path)
         assert client.ping()["ok"] is True
@@ -1449,6 +1483,22 @@ class _LosesSecondAnswer:
                         b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
 
 
+def _raw_request(method, target, headers=(), body=b""):
+    """Bytes of one HTTP/1.1 request, written by hand (no client)."""
+    lines = [f"{method} {target} HTTP/1.1", "Host: local", *headers]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+
+
+def _read_response(rfile):
+    """``(status, headers, body)`` of the next response on ``rfile``."""
+    status = int(rfile.readline().split()[1])
+    headers = {}
+    for line in iter(rfile.readline, b"\r\n"):
+        name, _, value = line.decode().partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, rfile.read(int(headers["content-length"]))
+
+
 def _listener_only(daemon):
     """Serve ``daemon``'s wire API without its scheduler loop; yields it
     and drains it (waking parked long-polls) on the way out."""
@@ -1590,6 +1640,29 @@ class TestOverloadWire:
         assert status["overload"]["shed"] == 1
         # the 429 closed the connection: the status call made a new one
         assert status["wire"]["connections"] == 2
+
+    def test_shed_answer_reaches_a_client_that_sends_its_body_late(
+            self, idle_daemon):
+        # Like http.client, send the headers and the body in two writes:
+        # the 429 must still arrive, with its Retry-After.
+        client = ServiceClient(idle_daemon.socket_path)
+        for i in range(4):
+            client.submit(small_spec(exp_id=f"late-{i}"))
+        body = spec_to_json(small_spec(exp_id="late-4")).encode()
+        request = _raw_request("POST", "/v1/campaigns",
+                               [f"Content-Length: {len(body)}",
+                                "Content-Type: application/json"])
+        with socket.socket(socket.AF_UNIX) as conn, \
+                conn.makefile("rb") as rfile:
+            conn.connect(idle_daemon.socket_path)
+            conn.sendall(request)
+            time.sleep(0.05)
+            conn.sendall(body)
+            status, headers, payload = _read_response(rfile)
+        assert status == 429
+        assert int(headers["retry-after"]) >= 1
+        assert json.loads(payload)["kind"] == "OverloadError"
+        assert idle_daemon.service.scheduler.backlog == 4
 
     def test_client_retries_shed_submit_only_with_key(self, idle_daemon):
         sock = idle_daemon.socket_path
